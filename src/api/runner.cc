@@ -49,7 +49,6 @@ Runner::run(Workload& workload)
         fault_engine =
             std::make_unique<FaultEngine>(config_.faultPlan, system);
         system.installFaultEngine(fault_engine.get());
-        faults_ = fault_engine.get();
     }
 
     workload.setScale(config_.scale);
@@ -58,14 +57,14 @@ Runner::run(Workload& workload)
         workload.applyUmHints(ctx);
 
     // Differential validation: constructed only when requested, so the
-    // disabled path runs exactly the pre-check code. Attached before
-    // onSetupComplete() so setup-time subscriptions reach the sink.
+    // disabled path runs exactly the pre-check code. Set in the probes
+    // before onSetupComplete() so setup-time subscriptions reach it.
+    Probes& probes = system.probes();
     std::unique_ptr<CheckContext> check;
     if (config_.check.enabled) {
         check = std::make_unique<CheckContext>(config_.check, system);
         check->attachParadigm(paradigm.get());
-        paradigm->attachChecker(check.get());
-        check_ = check.get();
+        probes.check = check.get();
     }
 
     paradigm->onSetupComplete();
@@ -80,20 +79,22 @@ Runner::run(Workload& workload)
         if (fault_engine != nullptr)
             fault_engine->registerMetrics(obs->registry());
         if (TimelineRecorder* rec = obs->recorder()) {
-            system.installRecorder(rec);
-            paradigm->attachRecorder(rec);
-            if (fault_engine != nullptr)
-                fault_engine->attachRecorder(rec);
+            probes.recorder = rec;
             for (std::size_t g = 0; g < system.numGpus(); ++g)
                 rec->nameTrack(static_cast<int>(g),
                                "gpu" + std::to_string(g));
+            if (system.config().numNodes > 1)
+                for (std::size_t n = 0; n < system.config().numNodes; ++n)
+                    rec->nameTrack(
+                        TimelineRecorder::uplinkTidBase +
+                            static_cast<int>(n),
+                        "node" + std::to_string(n) + ".uplink");
             rec->nameTrack(TimelineRecorder::systemTid, "system");
             rec->nameTrack(TimelineRecorder::faultTid, "faults");
             rec->nameTrack(TimelineRecorder::driverTid, "driver");
         }
         if (ProfileCollector* prof = obs->profile()) {
-            system.installProfile(prof);
-            paradigm->attachProfile(prof);
+            probes.profile = prof;
             // Resolved at finalize(), while the system is still alive.
             prof->setRegionResolver([&system](PageNum vpn) {
                 const Region* region = system.driver().regionOf(
@@ -115,20 +116,9 @@ Runner::run(Workload& workload)
             model.wqDrainScale = system.config().gps.wqDrainScale;
             model.numGpus = system.numGpus();
             causal->setModel(model);
-            system.installCausal(causal);
-            paradigm->attachCausal(causal);
-            if (fault_engine != nullptr)
-                fault_engine->attachCausal(causal);
+            probes.causal = causal;
         }
-        obs->startSampling(system.events().now());
-        CausalRecorder* causal_feed = obs->causal();
-        system.events().setObserver(
-            [&obs, causal_feed](Tick now, const std::string& name) {
-                obs->poll(now);
-                if (causal_feed != nullptr)
-                    causal_feed->onEvent(name);
-            });
-        obs_ = obs.get();
+        obs->startSampling(system.now());
     }
 
     const std::size_t eff_requested =
@@ -138,8 +128,8 @@ Runner::run(Workload& workload)
     const std::size_t max_iters = std::max<std::size_t>(eff_requested, 1);
     const std::size_t sim_iters =
         std::min<std::size_t>(1 + config_.steadyIterations, max_iters);
-    if (obs != nullptr && obs->causal() != nullptr)
-        obs->causal()->setEffectiveIterations(
+    if (probes.causal != nullptr)
+        probes.causal->setEffectiveIterations(
             std::max<std::uint64_t>(eff_requested, 1));
 
     RunResult result;
@@ -301,7 +291,7 @@ Runner::run(Workload& workload)
         if (capturing && !resuming &&
             config_.snapshotAt.kind == snapshot::AtKind::Iter &&
             config_.snapshotAt.n == iter)
-            capture(iter, 0, system.events().now(),
+            capture(iter, 0, system.now(),
                     system.topology().totalPayloadBytes());
 
         Tick t_before = 0;
@@ -317,15 +307,16 @@ Runner::run(Workload& workload)
             paradigm->beginIteration(iter);
             if (iter == 0)
                 paradigm->trackingStart();
-            t_before = system.events().now();
+            t_before = system.now();
             b_before = system.topology().totalPayloadBytes();
-            if (obs != nullptr && obs->causal() != nullptr)
-                obs->causal()->beginIteration(iter, t_before);
+            if (probes.causal != nullptr)
+                probes.causal->beginIteration(iter, t_before);
             phases = workload.iteration(iter, ctx);
         }
 
         for (std::size_t p = first_phase; p < phases.size(); ++p) {
-            executePhase(system, *paradigm, phases[p], totals);
+            executePhase(system, *paradigm, phases[p], totals, obs.get(),
+                         check.get());
             ++global_phases;
             if (capturing &&
                 config_.snapshotAt.kind == snapshot::AtKind::Phase &&
@@ -346,9 +337,9 @@ Runner::run(Workload& workload)
                 paradigm->fillSubscriberHistogram(result.subscriberHist);
         }
 
-        if (obs != nullptr && obs->causal() != nullptr)
-            obs->causal()->endIteration(system.events().now());
-        iter_time.push_back(system.events().now() - t_before);
+        if (probes.causal != nullptr)
+            probes.causal->endIteration(system.now());
+        iter_time.push_back(system.now() - t_before);
         iter_bytes.push_back(system.topology().totalPayloadBytes() -
                              b_before);
     }
@@ -408,46 +399,24 @@ Runner::run(Workload& workload)
     result.wqHitRate = result.stats.get("gps.wq_hit_rate");
     result.gpsTlbHitRate = result.stats.get("gps.gps_tlb_hit_rate");
 
-    if (faults_ != nullptr) {
-        if (!faults_->done())
+    if (fault_engine != nullptr) {
+        if (!fault_engine->done())
             gps_warn("fault plan has events beyond the simulated run; ",
                      "they were never injected");
-        faults_->report().exportStats(result.stats);
-        result.faultReport = faults_->report();
+        fault_engine->report().exportStats(result.stats);
+        result.faultReport = fault_engine->report();
         result.hasFaultReport = true;
         system.installFaultEngine(nullptr);
-        faults_ = nullptr;
     }
 
-    if (check != nullptr) {
+    if (check != nullptr)
         result.check = std::make_shared<const CheckReport>(
             check->finalize(totals, result.stats));
-        paradigm->attachChecker(nullptr);
-        check_ = nullptr;
-    }
 
-    if (obs != nullptr) {
-        system.events().setObserver(nullptr);
+    if (obs != nullptr)
         result.obs = std::make_shared<const ObsReport>(
-            obs->finalize(system.events().now()));
-        if (obs->recorder() != nullptr) {
-            system.installRecorder(nullptr);
-            paradigm->attachRecorder(nullptr);
-            if (fault_engine != nullptr)
-                fault_engine->attachRecorder(nullptr);
-        }
-        if (obs->profile() != nullptr) {
-            system.installProfile(nullptr);
-            paradigm->attachProfile(nullptr);
-        }
-        if (obs->causal() != nullptr) {
-            system.installCausal(nullptr);
-            paradigm->attachCausal(nullptr);
-            if (fault_engine != nullptr)
-                fault_engine->attachCausal(nullptr);
-        }
-        obs_ = nullptr;
-    }
+            obs->finalize(system.now()));
+    probes = Probes{};
     return result;
 }
 
@@ -460,23 +429,25 @@ Runner::runByName(const std::string& workload_name)
 
 Tick
 Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
-                     Phase& phase, KernelCounters& totals)
+                     Phase& phase, KernelCounters& totals,
+                     Observability* obs, CheckContext* check)
 {
     const std::size_t n = system.numGpus();
     Topology& topo = system.topology();
-    EventQueue& events = system.events();
     const PageGeometry& geo = system.geometry();
+    const Probes& probes = system.probes();
 
     // Inject any faults that have come due before the phase begins; they
-    // fire at the current tick so the phase-time invariant below holds.
-    if (faults_ != nullptr)
-        faults_->pump(events, paradigm);
+    // fire at the current tick, before the phase is timed.
+    FaultEngine* faults = system.faults();
+    if (faults != nullptr)
+        faults->pump(paradigm, obs);
 
-    const Tick start = events.now();
+    const Tick start = system.now();
 
     // Intra-phase events (drains, migrations, link transfers) are
     // recorded against the phase's start tick.
-    TimelineRecorder* rec = obs_ != nullptr ? obs_->recorder() : nullptr;
+    TimelineRecorder* rec = probes.recorder;
     if (rec != nullptr)
         rec->advanceTo(start);
 
@@ -486,8 +457,8 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
     // serializes. ---
     TrafficMatrix traffic(n);
     KernelCounters stage_counters;
-    if (check_ != nullptr)
-        check_->beginPhase(phase.name);
+    if (check != nullptr)
+        check->beginPhase(phase.name);
     const Tick prefetch_time =
         paradigm.beginPhase(phase, stage_counters, traffic);
 
@@ -556,8 +527,8 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
                 }
                 paradigm.access(gpu, access, vpn, *cursor.lastState,
                                 tlb_miss, c, traffic);
-                if (check_ != nullptr)
-                    check_->onAccess(gpu, access, vpn);
+                if (check != nullptr)
+                    check->onAccess(gpu, access, vpn);
             }
         }
     }
@@ -566,19 +537,19 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
     for (Cursor& cursor : cursors) {
         paradigm.endKernel(cursor.kernel->gpu, counters[cursor.kernel->gpu],
                            traffic);
-        if (check_ != nullptr)
-            check_->onKernelEnd(cursor.kernel->gpu);
+        if (check != nullptr)
+            check->onKernelEnd(cursor.kernel->gpu);
     }
 
     // Faulted paths: move flows off Down links, inflate Degraded ones.
-    if (faults_ != nullptr)
-        topo.routeAroundFaults(traffic, faults_->report());
+    if (faults != nullptr)
+        topo.routeAroundFaults(traffic, faults->report());
 
     // --- Timing: per-GPU bottleneck, then the barrier max. ---
     // kernelTimeBreakdown().total is exactly kernelTime(); the
     // intermediate terms only leave this loop when profiling is on.
-    ProfileCollector* prof = obs_ != nullptr ? obs_->profile() : nullptr;
-    CausalRecorder* causal = obs_ != nullptr ? obs_->causal() : nullptr;
+    ProfileCollector* prof = probes.profile;
+    CausalRecorder* causal = probes.causal;
     const Tick launch = system.config().gpu.kernelLaunchOverhead;
     Tick slowest = 0;
     std::vector<Tick> gpu_time(n, 0);
@@ -650,8 +621,8 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
     TrafficMatrix barrier_traffic(n);
     const Tick barrier_overhead =
         paradigm.atBarrier(stage_counters, barrier_traffic);
-    if (faults_ != nullptr)
-        topo.routeAroundFaults(barrier_traffic, faults_->report());
+    if (faults != nullptr)
+        topo.routeAroundFaults(barrier_traffic, faults->report());
     const Tick barrier_time =
         topo.applyPhaseTraffic(barrier_traffic) + barrier_overhead;
 
@@ -678,23 +649,26 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
         causal->addPhase(std::move(cp));
     }
 
-    // Drive simulated time through the event queue: one completion event
-    // per kernel, then the barrier. The name prefix is built once and
-    // the buffer reused across kernels.
-    std::string done_name = phase.name + ".kernel_done.";
-    const std::size_t done_prefix = done_name.size();
-    for (const Cursor& cursor : cursors) {
-        const GpuId gpu = cursor.kernel->gpu;
-        done_name.resize(done_prefix);
-        done_name += std::to_string(gpu);
-        events.schedule(start + prefetch_time + gpu_time[gpu], done_name,
-                        [] {});
+    // Simulated time is analytic: every kernel completes by the barrier,
+    // the sampler sees each completion tick in order and then the
+    // barrier, and the clock moves straight to the phase end.
+    gps_assert(prefetch_time + slowest <= phase_time,
+               "kernel completes after its phase barrier");
+    const Tick end = start + phase_time;
+    if (obs != nullptr) {
+        std::vector<Tick> done;
+        done.reserve(cursors.size());
+        for (const Cursor& cursor : cursors)
+            done.push_back(start + prefetch_time +
+                           gpu_time[cursor.kernel->gpu]);
+        std::sort(done.begin(), done.end());
+        for (const Tick tick : done)
+            obs->poll(tick);
+        obs->poll(end);
     }
-    events.schedule(start + phase_time, phase.name + ".barrier", [] {},
-                    barrierPriority);
-    events.run();
-    gps_assert(events.now() == start + phase_time,
-               "event queue out of sync with phase timing");
+    if (causal != nullptr)
+        causal->noteDep(CausalEdge::KernelToPhase, cursors.size());
+    system.advanceTo(end);
 
     if (rec != nullptr) {
         if (prefetch_time > 0)

@@ -6,7 +6,8 @@
  * concurrently by interleaving their access streams round-robin in fixed
  * chunks (so UM page thrashing between GPUs emerges); the analytic GPU
  * timing model converts each kernel's event counts into a duration; the
- * event queue sequences kernel completions and barriers.
+ * phase ends at the barrier after its slowest kernel, and the system
+ * clock moves straight to that tick.
  *
  * Iteration methodology: iteration 0 is simulated in full (it carries the
  * GPS profiling phase and the UM first-touch transient), followed by a
@@ -34,7 +35,6 @@
 namespace gps
 {
 
-class FaultEngine;
 class CheckContext;
 
 /** Everything needed to run one (workload, paradigm, system) triple. */
@@ -139,20 +139,16 @@ class Runner
     const RunConfig& config() const { return config_; }
 
   private:
-    /** @return the phase's end-to-end duration. */
+    /**
+     * @param obs the run's collectors (sampler polls), or nullptr
+     * @param check the run's differential checker, or nullptr
+     * @return the phase's end-to-end duration.
+     */
     Tick executePhase(MultiGpuSystem& system, Paradigm& paradigm,
-                      Phase& phase, KernelCounters& totals);
+                      Phase& phase, KernelCounters& totals,
+                      Observability* obs, CheckContext* check);
 
     RunConfig config_;
-
-    /** Active fault engine during run(); nullptr otherwise. */
-    FaultEngine* faults_ = nullptr;
-
-    /** Active observability bundle during run(); nullptr otherwise. */
-    Observability* obs_ = nullptr;
-
-    /** Active differential checker during run(); nullptr otherwise. */
-    CheckContext* check_ = nullptr;
 };
 
 /** One-call helper used throughout the benches. */

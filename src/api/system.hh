@@ -2,7 +2,8 @@
  * @file
  * Public facade: a configured multi-GPU system instance.
  *
- * Owns the GPUs, interconnect, shared VA space, driver and event queue.
+ * Owns the GPUs, interconnect, shared VA space, driver, the simulated
+ * clock and the run's observer record (Probes).
  * Paradigms and the runner operate on a MultiGpuSystem; library users
  * construct one from a SystemConfig (Table 1 defaults) and either run the
  * bundled workloads through Runner or drive the Driver API directly.
@@ -23,16 +24,13 @@
 #include "interconnect/pcie.hh"
 #include "interconnect/topology.hh"
 #include "mem/address_space.hh"
-#include "sim/event_queue.hh"
+#include "obs/probes.hh"
 
 namespace gps
 {
 
 class FaultEngine;
 class MetricRegistry;
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
 
 /** Full system configuration. */
 struct SystemConfig
@@ -82,7 +80,6 @@ class MultiGpuSystem
     Driver& driver() { return *driver_; }
     Topology& topology() { return *topology_; }
     const Topology& topology() const { return *topology_; }
-    EventQueue& events() { return events_; }
     AddressSpace& addressSpace() { return vas_; }
     const PageGeometry& geometry() const { return vas_.geometry(); }
 
@@ -93,6 +90,23 @@ class MultiGpuSystem
     FaultEngine* faults() { return faults_; }
     void installFaultEngine(FaultEngine* engine) { faults_ = engine; }
 
+    /**
+     * Simulated time. Phase timing is analytic, so the runner computes
+     * each phase's end tick and moves the clock there directly.
+     */
+    Tick now() const { return now_; }
+
+    /** Move the clock to @p when; time never moves backwards. */
+    void advanceTo(Tick when);
+
+    /**
+     * Observers for the current run. Components built by (or on top
+     * of) this system hold its address and test the fields they feed;
+     * the runner fills the record for a run and clears it afterwards.
+     */
+    Probes& probes() { return probes_; }
+    const Probes& probes() const { return probes_; }
+
     /** Table 1 style parameter dump. */
     ConfigDump configDump() const;
 
@@ -102,49 +116,17 @@ class MultiGpuSystem
     /** Register every component's metrics (same set as stats()). */
     void registerMetrics(MetricRegistry& reg) const;
 
-    /**
-     * Install the timeline recorder on the driver and topology (nullptr
-     * uninstalls). Paradigm-owned components attach separately through
-     * Paradigm::attachRecorder.
-     */
-    void installRecorder(TimelineRecorder* recorder);
-
-    /** Recorder currently installed, or nullptr. */
-    TimelineRecorder* recorder() { return recorder_; }
-
-    /**
-     * Install the profile collector on the driver and topology (nullptr
-     * uninstalls). Paradigm-owned components attach separately through
-     * Paradigm::attachProfile.
-     */
-    void installProfile(ProfileCollector* profile);
-
-    /** Profile collector currently installed, or nullptr. */
-    ProfileCollector* profile() { return profile_; }
-
-    /**
-     * Install the causal dependency recorder on the driver and
-     * topology (nullptr uninstalls). Paradigm-owned components attach
-     * separately through Paradigm::attachCausal.
-     */
-    void installCausal(CausalRecorder* causal);
-
-    /** Causal recorder currently installed, or nullptr. */
-    CausalRecorder* causal() { return causal_; }
-
     void resetStats();
 
   private:
     SystemConfig config_;
+    Probes probes_;
     AddressSpace vas_;
     std::vector<std::unique_ptr<GpuModel>> gpus_;
     std::unique_ptr<Topology> topology_;
     std::unique_ptr<Driver> driver_;
-    EventQueue events_;
+    Tick now_ = 0;
     FaultEngine* faults_ = nullptr;
-    TimelineRecorder* recorder_ = nullptr;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
 };
 
 } // namespace gps

@@ -14,9 +14,11 @@ namespace gps
 RemoteWriteQueue::RemoteWriteQueue(std::string name,
                                    const GpsConfig& config,
                                    std::uint32_t line_bytes,
-                                   PageGeometry geometry)
+                                   PageGeometry geometry,
+                                   const Probes* probes, int track)
     : SimObject(std::move(name)), config_(&config),
-      lineBytes_(line_bytes), geometry_(geometry)
+      lineBytes_(line_bytes), geometry_(geometry), probes_(probes),
+      track_(track)
 {
     gps_assert(config.wqEntries > 0, "zero-entry remote write queue");
 }
@@ -63,10 +65,10 @@ RemoteWriteQueue::insert(Addr addr, std::uint32_t size,
     index_.emplace(line, std::prev(fifo_.end()));
     occupancy_ += entry.weight;
     ++inserts_;
-    if (profile_ != nullptr)
-        profile_->noteRwqOccupancy(occupancy_);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::RwqInsertToDrain);
+    if (probes_->profile != nullptr)
+        probes_->profile->noteRwqOccupancy(occupancy_);
+    if (probes_->causal != nullptr)
+        probes_->causal->noteDep(CausalEdge::RwqInsertToDrain);
 
     drainToWatermark();
     return false;
@@ -88,8 +90,8 @@ RemoteWriteQueue::drainToWatermark()
         ++watermarkDrains_;
         if (saturated_) {
             ++stallDrains_;
-            if (causal_ != nullptr)
-                causal_->noteDep(CausalEdge::RwqSaturationStall);
+            if (probes_->causal != nullptr)
+                probes_->causal->noteDep(CausalEdge::RwqSaturationStall);
         }
         drainOne();
     }
@@ -108,10 +110,9 @@ RemoteWriteQueue::setSaturated(bool saturated)
     if (saturated == saturated_)
         return;
     saturated_ = saturated;
-    if (recorder_ != nullptr)
-        recorder_->instantNow(recorderTid_,
-                              saturated ? "wq_saturated" : "wq_restored",
-                              "rwq");
+    if (probes_->recorder != nullptr)
+        probes_->recorder->instantNow(
+            track_, saturated ? "wq_saturated" : "wq_restored", "rwq");
 }
 
 void
@@ -120,9 +121,9 @@ RemoteWriteQueue::drainAll()
     const std::uint64_t before = drains_;
     while (!fifo_.empty())
         drainOne();
-    if (recorder_ != nullptr && drains_ > before)
-        recorder_->instantNow(
-            recorderTid_, "wq_drain_all", "rwq",
+    if (probes_->recorder != nullptr && drains_ > before)
+        probes_->recorder->instantNow(
+            track_, "wq_drain_all", "rwq",
             {{"entries", static_cast<double>(drains_ - before)}});
 }
 
@@ -154,8 +155,8 @@ RemoteWriteQueue::drainEntry(std::list<WqEntry>::iterator it)
     occupancy_ -= entry.weight;
     fifo_.erase(it);
     ++drains_;
-    if (profile_ != nullptr)
-        profile_->noteRwqDrainResidency(inserts_ - entry.seq);
+    if (probes_->profile != nullptr)
+        probes_->profile->noteRwqDrainResidency(inserts_ - entry.seq);
     if (drain_)
         drain_(entry);
 }

@@ -9,8 +9,10 @@ namespace gps
 {
 
 SubscriptionManager::SubscriptionManager(Driver& driver,
-                                         GpsPageTable& table)
-    : SimObject("subscription_manager"), driver_(&driver), table_(&table)
+                                         GpsPageTable& table,
+                                         const Probes* probes)
+    : SimObject("subscription_manager"), driver_(&driver), table_(&table),
+      probes_(probes)
 {
 }
 
@@ -84,10 +86,10 @@ SubscriptionManager::subscribe(PageNum vpn, GpuId gpu)
     table_->addReplica(vpn, gpu, pte->ppn);
     refreshGpsBit(vpn);
     ++subscribeOps_;
-    if (profile_ != nullptr)
-        profile_->noteSubscriptionFlip(vpn);
-    if (check_ != nullptr)
-        check_->noteSubscribe(vpn, gpu);
+    if (probes_->profile != nullptr)
+        probes_->profile->noteSubscriptionFlip(vpn);
+    if (probes_->check != nullptr)
+        probes_->check->noteSubscribe(vpn, gpu);
     return SubscribeResult::Ok;
 }
 
@@ -110,10 +112,10 @@ SubscriptionManager::unsubscribe(PageNum vpn, GpuId gpu,
         st.location = maskFirst(st.subscribers);
     refreshGpsBit(vpn);
     ++unsubscribeOps_;
-    if (profile_ != nullptr)
-        profile_->noteSubscriptionFlip(vpn);
-    if (check_ != nullptr)
-        check_->noteUnsubscribe(vpn, gpu);
+    if (probes_->profile != nullptr)
+        probes_->profile->noteSubscriptionFlip(vpn);
+    if (probes_->check != nullptr)
+        probes_->check->noteUnsubscribe(vpn, gpu);
     return UnsubscribeResult::Ok;
 }
 
@@ -179,8 +181,8 @@ SubscriptionManager::collapse(PageNum vpn, GpuId keeper,
     st.location = keeper;
     refreshGpsBit(vpn);
     ++collapses_;
-    if (check_ != nullptr)
-        check_->noteCollapse(vpn, keeper);
+    if (probes_->check != nullptr)
+        probes_->check->noteCollapse(vpn, keeper);
 }
 
 void

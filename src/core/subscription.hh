@@ -22,9 +22,6 @@
 namespace gps
 {
 
-class ProfileCollector;
-class GpsCheckSink;
-
 /** Outcome of a subscription request. */
 enum class SubscribeResult : std::uint8_t {
     Ok,
@@ -43,7 +40,13 @@ enum class UnsubscribeResult : std::uint8_t {
 class SubscriptionManager : public SimObject
 {
   public:
-    SubscriptionManager(Driver& driver, GpsPageTable& table);
+    /**
+     * @param probes observers: successful subscribe/unsubscribe flips
+     *        feed the profile's per-page churn heat, and those flips
+     *        plus collapses are mirrored into the differential checker
+     */
+    SubscriptionManager(Driver& driver, GpsPageTable& table,
+                        const Probes* probes = &noProbes);
 
     /**
      * Swap out one of @p gpu's GPS replicas to free a frame: the first
@@ -114,19 +117,6 @@ class SubscriptionManager : public SimObject
     void registerMetrics(MetricRegistry& reg) const override;
 
     /**
-     * Attach the profile collector (nullptr detaches): successful
-     * subscribe/unsubscribe flips then feed the per-page churn heat.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the differential-validation sink (nullptr detaches):
-     * successful subscribes/unsubscribes and collapses are then
-     * mirrored into the checker's reference model.
-     */
-    void attachCheck(GpsCheckSink* check) { check_ = check; }
-
-    /**
      * Serialize the op counters. The subscription state itself lives
      * in the driver page state and the GPS page table, both covered by
      * their own saveState.
@@ -168,8 +158,7 @@ class SubscriptionManager : public SimObject
     std::uint64_t collapses_ = 0;
     std::uint64_t swapOuts_ = 0;
     std::uint64_t replicaRetires_ = 0;
-    ProfileCollector* profile_ = nullptr;
-    GpsCheckSink* check_ = nullptr;
+    const Probes* probes_;
 };
 
 } // namespace gps

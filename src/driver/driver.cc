@@ -11,8 +11,9 @@ namespace gps
 
 Driver::Driver(AddressSpace& vas,
                std::vector<std::unique_ptr<GpuModel>>& gpus,
-               Topology& topology)
-    : SimObject("driver"), vas_(&vas), gpus_(&gpus), topology_(&topology)
+               Topology& topology, const Probes* probes)
+    : SimObject("driver"), vas_(&vas), gpus_(&gpus), topology_(&topology),
+      probes_(probes)
 {
     gps_assert(gpus.size() <= maxGpus, "too many GPUs for GpuMask");
     for (std::size_t g = 0; g < gpus.size(); ++g) {
@@ -263,16 +264,16 @@ Driver::migratePage(PageNum vpn, GpuId to, KernelCounters& counters,
     ++migrations_;
     ++counters.pageMigrations;
     counters.migrationBytes += page_bytes;
-    if (profile_ != nullptr)
-        profile_->noteMigration(vpn);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::MigrationToStall);
-    if (recorder_ != nullptr)
-        recorder_->instantNow(TimelineRecorder::driverTid, "migrate",
-                              "driver",
-                              {{"vpn", static_cast<double>(vpn)},
-                               {"from", static_cast<double>(from)},
-                               {"to", static_cast<double>(to)}});
+    if (probes_->profile != nullptr)
+        probes_->profile->noteMigration(vpn);
+    if (probes_->causal != nullptr)
+        probes_->causal->noteDep(CausalEdge::MigrationToStall);
+    if (probes_->recorder != nullptr)
+        probes_->recorder->instantNow(
+            TimelineRecorder::driverTid, "migrate", "driver",
+            {{"vpn", static_cast<double>(vpn)},
+             {"from", static_cast<double>(from)},
+             {"to", static_cast<double>(to)}});
 }
 
 void

@@ -30,17 +30,18 @@
 namespace gps
 {
 
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
-
 /** The multi-GPU driver: allocation API plus page-management mechanics. */
 class Driver : public SimObject
 {
   public:
+    /**
+     * @param probes observers fed by page migrations: an instant on the
+     *        driver track, per-page migration heat, and a
+     *        migration->stall causal edge
+     */
     Driver(AddressSpace& vas,
            std::vector<std::unique_ptr<GpuModel>>& gpus,
-           Topology& topology);
+           Topology& topology, const Probes* probes);
 
     // ------------------------------------------------------------------
     // Allocation API (cudaMalloc / cudaMallocManaged / cudaMallocGPS).
@@ -162,34 +163,13 @@ class Driver : public SimObject
 
     /**
      * Serialize per-GPU page tables, the dense page-state store, and
-     * the driver's own counters. The reclaim hook and observers are
-     * reattached by their owners at reconstruction, not persisted.
+     * the driver's own counters. The reclaim hook is reinstalled by its
+     * owner at reconstruction, not persisted.
      */
     void saveState(snapshot::Serializer& out) const;
 
     /** Counterpart of saveState. */
     void restoreState(snapshot::Deserializer& in);
-
-    /**
-     * Attach the timeline recorder (nullptr detaches); page migrations
-     * are then recorded as instants on the driver track.
-     */
-    void attachRecorder(TimelineRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /**
-     * Attach the profile collector (nullptr detaches); page migrations
-     * then feed the per-page migration heat.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the causal recorder (nullptr detaches); page migrations
-     * are then counted as migration->stall dependency edges.
-     */
-    void attachCausal(CausalRecorder* causal) { causal_ = causal; }
 
   private:
     const Region& allocCommon(std::uint64_t size, MemKind kind,
@@ -219,9 +199,7 @@ class Driver : public SimObject
     std::uint64_t migrations_ = 0;
     std::uint64_t shootdownRounds_ = 0;
     std::uint64_t reclaims_ = 0;
-    TimelineRecorder* recorder_ = nullptr;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
+    const Probes* probes_;
 };
 
 } // namespace gps

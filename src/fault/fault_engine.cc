@@ -5,9 +5,9 @@
 #include "interconnect/topology.hh"
 #include "obs/causal/causal.hh"
 #include "obs/metric_registry.hh"
+#include "obs/observability.hh"
 #include "obs/timeline.hh"
 #include "paradigm/paradigm.hh"
-#include "sim/event_queue.hh"
 
 namespace gps
 {
@@ -32,29 +32,27 @@ FaultEngine::FaultEngine(FaultPlan plan, MultiGpuSystem& system)
 }
 
 void
-FaultEngine::pump(EventQueue& events, Paradigm& paradigm)
+FaultEngine::pump(Paradigm& paradigm, Observability* obs)
 {
-    bool scheduled = false;
+    const Tick now = system_->now();
     while (next_ < plan_.events.size() &&
-           plan_.events[next_].time <= events.now()) {
-        const FaultEvent& ev = plan_.events[next_++];
-        events.schedule(events.now(), "fault:" + ev.describe(),
-                        [this, &ev, &paradigm] { apply(ev, paradigm); });
-        scheduled = true;
+           plan_.events[next_].time <= now) {
+        apply(plan_.events[next_++], paradigm);
+        if (obs != nullptr)
+            obs->poll(now);
     }
-    if (scheduled)
-        events.run();
 }
 
 void
 FaultEngine::apply(const FaultEvent& ev, Paradigm& paradigm)
 {
     ++report_.faultsInjected;
-    if (recorder_ != nullptr)
-        recorder_->instant(TimelineRecorder::faultTid, ev.describe(),
-                           "fault", ev.time);
-    if (causal_ != nullptr)
-        causal_->noteDep(CausalEdge::FaultToReroute);
+    const Probes& probes = system_->probes();
+    if (probes.recorder != nullptr)
+        probes.recorder->instant(TimelineRecorder::faultTid,
+                                 ev.describe(), "fault", ev.time);
+    if (probes.causal != nullptr)
+        probes.causal->noteDep(CausalEdge::FaultToReroute);
     Topology& topo = system_->topology();
 
     const auto for_each_pair = [&](auto&& fn) {

@@ -3,8 +3,8 @@
  * Replays a FaultPlan against a running MultiGpuSystem.
  *
  * The engine is pumped by the runner at phase boundaries: every plan event
- * whose time has arrived is scheduled on the event queue at the current
- * tick and applied through the paradigm's degradation hooks. Injection is
+ * whose time has arrived is applied at the system's current tick through
+ * the paradigm's degradation hooks. Injection is
  * fully deterministic — event order comes from the sorted plan and any
  * victim selection uses the plan's seeded Rng.
  */
@@ -21,26 +21,29 @@
 namespace gps
 {
 
-class CausalRecorder;
-class EventQueue;
 class MetricRegistry;
 class MultiGpuSystem;
+class Observability;
 class Paradigm;
-class TimelineRecorder;
 
 /** Deterministic, seeded fault injector. */
 class FaultEngine
 {
   public:
-    /** Validates targets against the system; fatal on out-of-range ids. */
+    /**
+     * Validates targets against the system; fatal on out-of-range ids.
+     * Injected faults are reported to the system's probes: an instant
+     * on the fault track and a fault->reroute causal edge each.
+     */
     FaultEngine(FaultPlan plan, MultiGpuSystem& system);
 
     /**
-     * Schedule every not-yet-fired event due at or before the queue's
-     * current time and run it. Faults therefore take effect at phase
-     * granularity, which keeps the runner's phase-time invariant intact.
+     * Apply, in plan order, every not-yet-fired event due at or before
+     * the system's current tick, polling @p obs's sampler (when given)
+     * after each. Faults therefore take effect at phase granularity,
+     * which keeps the runner's phase timing analytic.
      */
-    void pump(EventQueue& events, Paradigm& paradigm);
+    void pump(Paradigm& paradigm, Observability* obs);
 
     /** Whether every plan event has fired. */
     bool done() const { return next_ >= plan_.events.size(); }
@@ -52,21 +55,6 @@ class FaultEngine
 
     /** Register the FaultReport counters under the "fault." prefix. */
     void registerMetrics(MetricRegistry& reg) const;
-
-    /**
-     * Attach the timeline recorder (nullptr detaches); each injected
-     * fault is then recorded as an instant on the fault track.
-     */
-    void attachRecorder(TimelineRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /**
-     * Attach the causal recorder (nullptr detaches); each injected
-     * fault is then counted as a fault->reroute dependency edge.
-     */
-    void attachCausal(CausalRecorder* causal) { causal_ = causal; }
 
     /**
      * Serialize injection progress: RNG stream position, report
@@ -137,8 +125,6 @@ class FaultEngine
     Rng rng_;
     FaultReport report_;
     std::size_t next_ = 0;
-    TimelineRecorder* recorder_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
 };
 
 } // namespace gps

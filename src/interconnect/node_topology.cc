@@ -17,8 +17,9 @@ NodeTopology::NodeTopology(std::string name, std::size_t num_gpus,
                            std::size_t num_nodes,
                            InterconnectKind intra_kind,
                            InterconnectKind inter_kind,
-                           double bandwidth_scale)
-    : Topology(std::move(name), num_gpus, intra_kind, bandwidth_scale),
+                           double bandwidth_scale, const Probes* probes)
+    : Topology(std::move(name), num_gpus, intra_kind, bandwidth_scale,
+               probes),
       numNodes_(num_nodes),
       gpusPerNode_(num_nodes > 0 ? num_gpus / num_nodes : 0),
       interSpec_(&interconnectSpec(inter_kind))
@@ -139,6 +140,8 @@ Tick
 NodeTopology::applyPhaseTraffic(const TrafficMatrix& traffic)
 {
     Tick worst = Topology::applyPhaseTraffic(traffic);
+    ProfileCollector* profile = probes_->profile;
+    TimelineRecorder* recorder = probes_->recorder;
     for (std::size_t s = 0; s < numNodes_; ++s) {
         // Node->node wire bytes feed both the uplink accounting and the
         // lifetime cross matrix the conservation law checks against.
@@ -161,22 +164,22 @@ NodeTopology::applyPhaseTraffic(const TrafficMatrix& traffic)
         upEgress_[s]->record(out, out_time);
         upIngress_[s]->record(in, in_time);
         worst = std::max({worst, out_time, in_time});
-        if (profile_ != nullptr) {
+        if (profile != nullptr) {
             if (out > 0)
-                profile_->noteLinkBusy(out_time);
+                profile->noteLinkBusy(out_time);
             if (in > 0)
-                profile_->noteLinkBusy(in_time);
+                profile->noteLinkBusy(in_time);
         }
-        if (recorder_ != nullptr) {
+        if (recorder != nullptr) {
             const int tid =
                 TimelineRecorder::uplinkTidBase + static_cast<int>(s);
             if (out > 0)
-                recorder_->complete(
-                    tid, "uplink.egress", "link", recorder_->now(),
+                recorder->complete(
+                    tid, "uplink.egress", "link", recorder->now(),
                     out_time, {{"bytes", static_cast<double>(out)}});
             if (in > 0)
-                recorder_->complete(
-                    tid, "uplink.ingress", "link", recorder_->now(),
+                recorder->complete(
+                    tid, "uplink.ingress", "link", recorder->now(),
                     in_time, {{"bytes", static_cast<double>(in)}});
         }
     }
@@ -225,18 +228,6 @@ NodeTopology::resetStats()
         link->resetStats();
     for (auto& link : upIngress_)
         link->resetStats();
-}
-
-void
-NodeTopology::attachRecorder(TimelineRecorder* recorder)
-{
-    Topology::attachRecorder(recorder);
-    if (recorder == nullptr)
-        return;
-    for (std::size_t n = 0; n < numNodes_; ++n)
-        recorder->nameTrack(
-            TimelineRecorder::uplinkTidBase + static_cast<int>(n),
-            "node" + std::to_string(n) + ".uplink");
 }
 
 void

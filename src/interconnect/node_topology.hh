@@ -37,7 +37,8 @@ class NodeTopology : public Topology
     NodeTopology(std::string name, std::size_t num_gpus,
                  std::size_t num_nodes, InterconnectKind intra_kind,
                  InterconnectKind inter_kind,
-                 double bandwidth_scale = 1.0);
+                 double bandwidth_scale = 1.0,
+                 const Probes* probes = &noProbes);
 
     std::size_t numNodes() const { return numNodes_; }
     std::size_t gpusPerNode() const { return gpusPerNode_; }
@@ -92,7 +93,6 @@ class NodeTopology : public Topology
     void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
     void resetStats() override;
-    void attachRecorder(TimelineRecorder* recorder) override;
 
     void saveState(snapshot::Serializer& out) const override;
     void restoreState(snapshot::Deserializer& in) override;

@@ -57,9 +57,10 @@ TrafficMatrix::takeWire(GpuId src, GpuId dst)
 }
 
 Topology::Topology(std::string name, std::size_t num_gpus,
-                   InterconnectKind kind, double bandwidth_scale)
+                   InterconnectKind kind, double bandwidth_scale,
+                   const Probes* probes)
     : SimObject(std::move(name)), numGpus_(num_gpus),
-      spec_(&interconnectSpec(kind))
+      spec_(&interconnectSpec(kind)), probes_(probes)
 {
     gps_assert(num_gpus >= 1, "topology needs at least one GPU");
     gps_assert(bandwidth_scale > 0.0,
@@ -84,6 +85,9 @@ Topology::applyPhaseTraffic(const TrafficMatrix& traffic)
 {
     gps_assert(traffic.numGpus() == numGpus_,
                "traffic matrix size mismatch");
+    CausalRecorder* causal = probes_->causal;
+    ProfileCollector* profile = probes_->profile;
+    TimelineRecorder* recorder = probes_->recorder;
     Tick worst = 0;
     for (std::size_t g = 0; g < numGpus_; ++g) {
         const std::uint64_t out = traffic.egress(static_cast<GpuId>(g));
@@ -94,23 +98,23 @@ Topology::applyPhaseTraffic(const TrafficMatrix& traffic)
         ingress_[g]->record(in, in_time);
         worst = std::max({worst, out_time, in_time});
         totalBytes_ += out;
-        if (causal_ != nullptr && out > 0)
-            causal_->noteDep(CausalEdge::LinkToRwqInsert);
-        if (profile_ != nullptr) {
+        if (causal != nullptr && out > 0)
+            causal->noteDep(CausalEdge::LinkToRwqInsert);
+        if (profile != nullptr) {
             if (out > 0)
-                profile_->noteLinkBusy(out_time);
+                profile->noteLinkBusy(out_time);
             if (in > 0)
-                profile_->noteLinkBusy(in_time);
+                profile->noteLinkBusy(in_time);
         }
-        if (recorder_ != nullptr) {
+        if (recorder != nullptr) {
             const int tid = static_cast<int>(g);
             if (out > 0)
-                recorder_->complete(
-                    tid, "egress", "link", recorder_->now(), out_time,
+                recorder->complete(
+                    tid, "egress", "link", recorder->now(), out_time,
                     {{"bytes", static_cast<double>(out)}});
             if (in > 0)
-                recorder_->complete(
-                    tid, "ingress", "link", recorder_->now(), in_time,
+                recorder->complete(
+                    tid, "ingress", "link", recorder->now(), in_time,
                     {{"bytes", static_cast<double>(in)}});
         }
     }

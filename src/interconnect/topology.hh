@@ -23,6 +23,7 @@
 #include "common/types.hh"
 #include "interconnect/link.hh"
 #include "interconnect/pcie.hh"
+#include "obs/probes.hh"
 #include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
 
@@ -30,9 +31,6 @@ namespace gps
 {
 
 struct FaultReport;
-class TimelineRecorder;
-class ProfileCollector;
-class CausalRecorder;
 
 /** Health of the switched path between one pair of GPUs. */
 enum class PathHealth : std::uint8_t {
@@ -125,9 +123,13 @@ class Topology : public SimObject
      * @param bandwidth_scale what-if multiplier on the spec's link
      *        bandwidth; at exactly 1.0 the topology keeps pointing at
      *        the static spec (byte-identical fast path).
+     * @param probes observers fed by applyPhaseTraffic: per-link
+     *        transfers as timeline events at the recorder's current
+     *        stamp, link busy time, link->RWQ-insert causal edges
      */
     Topology(std::string name, std::size_t num_gpus,
-             InterconnectKind kind, double bandwidth_scale = 1.0);
+             InterconnectKind kind, double bandwidth_scale = 1.0,
+             const Probes* probes = &noProbes);
 
     ~Topology() override = default;
 
@@ -206,30 +208,6 @@ class Topology : public SimObject
     void exportStats(StatSet& out) const override;
     void registerMetrics(MetricRegistry& reg) const override;
     void resetStats() override;
-
-    /**
-     * Attach the timeline recorder (nullptr detaches). Per-link
-     * transfers are then recorded as complete events at the recorder's
-     * current stamp (the enclosing phase's start tick).
-     */
-    virtual void attachRecorder(TimelineRecorder* recorder)
-    {
-        recorder_ = recorder;
-    }
-
-    /**
-     * Attach the profile collector (nullptr detaches); each non-idle
-     * link direction then feeds its per-phase busy time into the
-     * link-delay histogram.
-     */
-    void attachProfile(ProfileCollector* profile) { profile_ = profile; }
-
-    /**
-     * Attach the causal recorder (nullptr detaches); each non-idle
-     * egress direction then contributes a link-transfer dependency
-     * edge to the activity graph.
-     */
-    void attachCausal(CausalRecorder* causal) { causal_ = causal; }
 
     /**
      * Serialize link accounting, lifetime totals, and fault path state
@@ -326,9 +304,7 @@ class Topology : public SimObject
     std::uint64_t totalPayload_ = 0;
     std::unordered_map<std::uint32_t, PathState> paths_;
     bool pcieFallback_ = true;
-    TimelineRecorder* recorder_ = nullptr;
-    ProfileCollector* profile_ = nullptr;
-    CausalRecorder* causal_ = nullptr;
+    const Probes* probes_;
 };
 
 } // namespace gps

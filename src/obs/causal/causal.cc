@@ -223,7 +223,7 @@ analyzeCriticalPath(const CausalReport& report)
     };
 
     // Per-iteration sum of recorded phase times, to expose any residual
-    // (time the event queue spent outside phase execution).
+    // (simulated time that passed outside phase execution).
     std::map<std::uint64_t, Tick> phase_sum;
 
     for (const CausalPhase& ph : report.phases) {

@@ -10,11 +10,11 @@
  * post-reroute wire bytes behind every link-time term, and the fixed
  * serialized overheads. Dependency edges observed below the runner
  * (link transfer -> RWQ insert -> drain, migration -> stall,
- * fault -> reroute) arrive through noteDep-style hooks threaded through
- * the write queues, interconnect, driver and fault engine; the event
- * queue's observer feeds completion -> barrier edges by event name.
+ * fault -> reroute) arrive through noteDep from the write queues,
+ * interconnect, driver and fault engine via the system's Probes record;
+ * the runner adds one completion -> barrier edge per timed kernel.
  *
- * Everything here is plain data guarded by null attach pointers: with
+ * Everything here is plain data guarded by null probe pointers: with
  * causal tracing disabled no recorder exists and the simulation is
  * byte-identical to a build without this file.
  */
@@ -132,7 +132,7 @@ struct CausalReport
     std::uint64_t droppedPhases = 0;
 };
 
-/** Live per-run recorder (attach pointers guard every hook). */
+/** Live per-run recorder (null probe pointers guard every hook). */
 class CausalRecorder
 {
   public:
@@ -185,14 +185,6 @@ class CausalRecorder
     noteDep(CausalEdge kind, std::uint64_t n = 1)
     {
         data_.edges[static_cast<std::size_t>(kind)] += n;
-    }
-
-    /** Event-queue observer feed: completion/barrier edge by name. */
-    void
-    onEvent(const std::string& name)
-    {
-        if (name.find(".kernel_done.") != std::string::npos)
-            noteDep(CausalEdge::KernelToPhase);
     }
 
     const CausalReport& data() const { return data_; }

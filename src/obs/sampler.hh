@@ -2,13 +2,14 @@
  * @file
  * Simulated-time metric sampler: turns registry reads into time series.
  *
- * The runner polls the sampler at every instrumentation point (event
- * executions, phase boundaries, end of run); the sampler records one
- * snapshot of every registered metric whenever at least `every` ticks of
- * simulated time have passed since the previous sample. Samples are
- * therefore taken at the first instrumentation point at or after each
- * period boundary — simulated time only advances at event granularity,
- * so exact period alignment is neither possible nor meaningful.
+ * The runner polls the sampler at every instrumentation point (each
+ * kernel completion tick in ascending order, each phase barrier, each
+ * fault injection, end of run); the sampler records one snapshot of
+ * every registered metric whenever at least `every` ticks of simulated
+ * time have passed since the previous sample. Samples are therefore
+ * taken at the first instrumentation point at or after each period
+ * boundary — simulated time is only known at those instants, so exact
+ * period alignment is neither possible nor meaningful.
  */
 
 #ifndef GPS_OBS_SAMPLER_HH

@@ -31,10 +31,6 @@ namespace gps
 {
 
 struct FaultReport;
-class TimelineRecorder;
-class ProfileCollector;
-class GpsCheckSink;
-class CausalRecorder;
 
 /** The evaluated multi-GPU programming paradigms. */
 enum class ParadigmKind : std::uint8_t {
@@ -193,40 +189,6 @@ class Paradigm : public SimObject
 
     /** Paradigm-specific stats. */
     void exportStats(StatSet& out) const override { (void)out; }
-
-    /**
-     * Attach the timeline recorder to paradigm-owned components (GPS
-     * write queues); a no-op for paradigms without any.
-     */
-    virtual void attachRecorder(TimelineRecorder* recorder)
-    {
-        (void)recorder;
-    }
-
-    /**
-     * Attach the profile collector to paradigm-owned components (GPS
-     * write queues, subscription manager); a no-op for paradigms
-     * without any.
-     */
-    virtual void attachProfile(ProfileCollector* profile)
-    {
-        (void)profile;
-    }
-
-    /**
-     * Attach the differential-validation event sink (nullptr detaches);
-     * GPS forwards it to the subscription manager so protocol events
-     * reach the checker's reference model. A no-op for paradigms
-     * without GPS machinery.
-     */
-    virtual void attachChecker(GpsCheckSink* sink) { (void)sink; }
-
-    /**
-     * Attach the causal dependency recorder to paradigm-owned
-     * components (GPS write queues, re-subscription machinery); a
-     * no-op for paradigms without any.
-     */
-    virtual void attachCausal(CausalRecorder* causal) { (void)causal; }
 
     /**
      * Serialize paradigm-owned mutable state (GPS queues and tables,

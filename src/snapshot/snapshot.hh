@@ -2,8 +2,8 @@
  * @file
  * Versioned, CRC-guarded whole-simulator snapshots.
  *
- * A snapshot freezes one run at a quiescent point (the event queue
- * drained, all write queues flushed by the preceding kernel ends) so it
+ * A snapshot freezes one run at a quiescent point (a phase barrier, all
+ * write queues flushed by the preceding kernel ends) so it
  * can resume later — in another process, after a crash, or forked into
  * sibling configurations by the warm-started sweep runner — and produce
  * a RunResult byte-identical to the uninterrupted run.
@@ -45,7 +45,8 @@ class FaultEngine;
 namespace gps::snapshot
 {
 
-inline constexpr std::uint32_t snapshotVersion = 2;
+/** Version 3: the "events" section holds only the simulated clock. */
+inline constexpr std::uint32_t snapshotVersion = 3;
 
 /** Where in a run a snapshot is (or was) taken. */
 enum class AtKind : std::uint8_t {

@@ -13,6 +13,7 @@
 
 #include "api/result_export.hh"
 #include "api/runner.hh"
+#include "apps/app_common.hh"
 #include "obs/causal/whatif.hh"
 #include "obs/observability.hh"
 
@@ -110,6 +111,79 @@ TEST(Causal, RecordsPhasesIterationsAndEdges)
     EXPECT_GT(edge(CausalEdge::KernelToPhase), 0u);
     EXPECT_GT(edge(CausalEdge::LinkToRwqInsert), 0u);
     EXPECT_GT(edge(CausalEdge::RwqInsertToDrain), 0u);
+}
+
+/**
+ * One-phase ring: each GPU loads its upstream neighbor's segment and
+ * stores its own. The phase name contains ".kernel_done." on purpose.
+ */
+class KernelDoneNamedWorkload : public Workload
+{
+  public:
+    std::string name() const override { return "KernelDoneNamed"; }
+    std::string description() const override { return "ring"; }
+    std::string commPattern() const override { return "Peer-to-peer"; }
+    std::size_t effectiveIterations() const override { return 100; }
+
+    void
+    setup(WorkloadContext& ctx) override
+    {
+        gpus_ = ctx.numGpus();
+        buf_ = ctx.allocShared(gpus_ * lines_ * 128, "ring.buf");
+    }
+
+    std::vector<Phase>
+    iteration(std::size_t iter, WorkloadContext& ctx) override
+    {
+        (void)iter;
+        (void)ctx;
+        Phase phase;
+        phase.name = "ring.kernel_done.step";
+        for (std::size_t g = 0; g < gpus_; ++g) {
+            const Addr own = buf_ + g * lines_ * 128;
+            const Addr upstream =
+                buf_ + ((g + gpus_ - 1) % gpus_) * lines_ * 128;
+            std::vector<apps::Group> groups;
+            groups.push_back(apps::Group{{
+                apps::Burst{upstream, lines_, 128, AccessType::Load, 128,
+                            Scope::Weak},
+                apps::Burst{own, lines_, 128, AccessType::Store, 128,
+                            Scope::Weak},
+            }});
+            KernelLaunch kernel;
+            kernel.gpu = static_cast<GpuId>(g);
+            kernel.name = phase.name;
+            kernel.computeInstrs = lines_ * 32;
+            kernel.stream = apps::makeGroupStream(std::move(groups));
+            phase.kernels.push_back(std::move(kernel));
+        }
+        std::vector<Phase> phases;
+        phases.push_back(std::move(phase));
+        return phases;
+    }
+
+  private:
+    static constexpr std::uint64_t lines_ = 256;
+    std::size_t gpus_ = 0;
+    Addr buf_ = 0;
+};
+
+TEST(Causal, KernelEdgesMatchRecordedKernelsWhateverThePhaseName)
+{
+    RunConfig config = causalConfig();
+    config.obs.causal = true;
+    KernelDoneNamedWorkload workload;
+    const RunResult result = Runner(config).run(workload);
+    ASSERT_NE(result.obs, nullptr);
+    const CausalReport& report = result.obs->causal;
+    std::uint64_t kernels = 0;
+    for (const CausalPhase& phase : report.phases)
+        kernels += phase.kernels.size();
+    // Five simulated iterations of one phase on four GPUs.
+    EXPECT_EQ(kernels, 20u);
+    EXPECT_EQ(report.edges[static_cast<std::size_t>(
+                  CausalEdge::KernelToPhase)],
+              kernels);
 }
 
 TEST(Causal, IdentityPredictionReproducesTheRunExactly)

@@ -288,6 +288,25 @@ TEST_F(SnapshotCorruption, BadMagicAndVersionAreRejected)
     expectRejected(bad_version);
 }
 
+TEST_F(SnapshotCorruption, VersionTwoBlobIsRejected)
+{
+    // Version 2 still carried event-queue counters in its "events"
+    // section; a blob stamped with it must be refused by name.
+    std::string old = bytes_;
+    old[8] = 2; // little-endian u32 version after the 8-byte magic
+    old[9] = old[10] = old[11] = 0;
+    try {
+        (void)snapshot::decodeSnapshot(old);
+        FAIL() << "version 2 snapshot was accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported snapshot version 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    expectRejected(old);
+}
+
 TEST_F(SnapshotCorruption, WrongRunIdentityIsRejected)
 {
     // A valid snapshot of a different configuration must be refused by

@@ -77,6 +77,16 @@ TEST(MultiGpuSystemDeath, RejectsZeroGpus)
     EXPECT_DEATH(MultiGpuSystem system(config), "unsupported");
 }
 
+TEST(MultiGpuSystemDeath, ClockNeverMovesBackwards)
+{
+    MultiGpuSystem system(SystemConfig{});
+    EXPECT_EQ(system.now(), 0u);
+    system.advanceTo(100);
+    system.advanceTo(100);
+    EXPECT_EQ(system.now(), 100u);
+    EXPECT_DEATH(system.advanceTo(50), "backwards");
+}
+
 TEST(Logging, FatalThrowsCatchableError)
 {
     try {
