@@ -3,9 +3,9 @@
  * Observer interface for GPS protocol events.
  *
  * The subscription manager and the GPS paradigm fire these callbacks as
- * the simulated driver mutates subscription state, following the same
- * attach/detach pattern as ProfileCollector: a nullptr sink is the
- * default and costs nothing on the hot path. The differential checker
+ * the simulated driver mutates subscription state. The sink is the
+ * `check` field of the system's Probes record (obs/probes.hh): null by
+ * default, costing one pointer test on the hot path. The differential checker
  * mirrors the events into its reference model so both sides evolve the
  * same page state without the checker ever reaching into timing-model
  * internals.
