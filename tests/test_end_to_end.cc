@@ -10,7 +10,9 @@
 
 #include <tuple>
 
+#include "api/result_export.hh"
 #include "api/runner.hh"
+#include "common/crc32.hh"
 
 namespace gps
 {
@@ -143,6 +145,51 @@ TEST(EndToEndInvariants, FasterInterconnectNeverHurtsGps)
     config.system.interconnect = InterconnectKind::Pcie6;
     const RunResult fast = runWorkload("EQWP", config);
     EXPECT_LE(fast.totalTime, slow.totalTime);
+}
+
+/**
+ * Byte pins for the 16-GPU replays that lean hardest on the per-GPU L2
+ * model (Memcpy's barrier invalidations) and on GPS subscriber
+ * forwarding (ALS atomics, flat and across two nodes). The snapshot
+ * blob carries every L2 line, invalidated ones included, so a change
+ * to the cache's internal layout that leaks into its state shows here.
+ */
+RunConfig
+pinnedConfig(ParadigmKind paradigm, std::size_t nodes = 1)
+{
+    RunConfig config;
+    config.system.numGpus = 16;
+    config.system.numNodes = nodes;
+    config.scale = 0.25;
+    config.paradigm = paradigm;
+    return config;
+}
+
+TEST(EndToEndPins, JacobiMemcpySixteenGpusIsPinned)
+{
+    RunConfig config = pinnedConfig(ParadigmKind::Memcpy);
+    config.snapshotAt = {snapshot::AtKind::Iter, 1};
+    config.snapshotSink = std::make_shared<std::string>();
+    const RunResult result = runWorkload("Jacobi", config);
+    ASSERT_FALSE(config.snapshotSink->empty());
+    EXPECT_EQ(crc32Of(*config.snapshotSink), 0x29d9b7b6u);
+
+    // The capture must not perturb the run itself.
+    const RunResult plain =
+        runWorkload("Jacobi", pinnedConfig(ParadigmKind::Memcpy));
+    EXPECT_EQ(crc32Of(resultToJson(plain, true)), 0xfe664bc1u);
+    EXPECT_EQ(resultToJson(result, true), resultToJson(plain, true));
+}
+
+TEST(EndToEndPins, AlsGpsSixteenGpusIsPinned)
+{
+    const RunResult flat =
+        runWorkload("ALS", pinnedConfig(ParadigmKind::Gps));
+    EXPECT_EQ(crc32Of(resultToJson(flat, true)), 0x7e350959u);
+
+    const RunResult nodes =
+        runWorkload("ALS", pinnedConfig(ParadigmKind::Gps, 2));
+    EXPECT_EQ(crc32Of(resultToJson(nodes, true)), 0x1fe6a26au);
 }
 
 } // namespace
