@@ -1,9 +1,10 @@
 /**
  * @file
  * Generic set-associative write-back cache model with true-LRU
- * replacement, used for each GPU's L2. The aggregate-capacity effect the
- * paper reports for EQWP (L2 hit rate rising from 55% to 68% at 4 GPUs)
- * emerges from this model when the per-GPU working set shrinks.
+ * replacement (up to 64 ways), used for each GPU's L2. The
+ * aggregate-capacity effect the paper reports for EQWP (L2 hit rate
+ * rising from 55% to 68% at 4 GPUs) emerges from this model when the
+ * per-GPU working set shrinks.
  */
 
 #ifndef GPS_CACHE_CACHE_MODEL_HH
@@ -36,7 +37,7 @@ class CacheModel : public SimObject
      * @param name component name
      * @param capacity_bytes total data capacity
      * @param line_bytes cache line size (Table 1: 128 B)
-     * @param ways associativity
+     * @param ways associativity, 1..64
      */
     CacheModel(std::string name, std::uint64_t capacity_bytes,
                std::uint32_t line_bytes, std::uint32_t ways);
@@ -62,6 +63,9 @@ class CacheModel : public SimObject
     std::uint32_t lineBytes() const { return lineBytes_; }
     std::uint64_t capacityBytes() const { return capacityBytes_; }
 
+    /** Tag windows (the lines sharing one tag) holding a valid line. */
+    std::size_t residentWindows() const { return windowsUsed_; }
+
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     double hitRate() const;
@@ -70,65 +74,72 @@ class CacheModel : public SimObject
     void registerMetrics(MetricRegistry& reg) const override;
     void resetStats() override;
 
-    /** Serialize every line, the LRU clock, and the counters. */
-    void
-    saveState(snapshot::Serializer& out) const
-    {
-        out.section("cache");
-        out.u64(lines_.size());
-        for (const Line& l : lines_) {
-            out.u64(l.tag);
-            out.b(l.valid);
-            out.b(l.dirty);
-            out.u64(l.lastUse);
-        }
-        out.u64(useClock_);
-        out.u64(hits_);
-        out.u64(misses_);
-        out.u64(evictions_);
-        out.u64(writebacks_);
-    }
+    /**
+     * Serialize every line (tag, valid, dirty, last use; invalidated
+     * lines keep their stale tag and dirty bit), the LRU clock, and the
+     * counters.
+     */
+    void saveState(snapshot::Serializer& out) const;
 
     /** Counterpart of saveState; geometry must match this instance. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("cache");
-        if (in.u64() != lines_.size())
-            throw snapshot::SnapshotError(
-                "snapshot cache geometry differs from the configured "
-                "cache");
-        for (Line& l : lines_) {
-            l.tag = in.u64();
-            l.valid = in.b();
-            l.dirty = in.b();
-            l.lastUse = in.u64();
-        }
-        useClock_ = in.u64();
-        hits_ = in.u64();
-        misses_ = in.u64();
-        evictions_ = in.u64();
-        writebacks_ = in.u64();
-    }
+    void restoreState(snapshot::Deserializer& in);
 
   private:
-    struct Line
+    /** Valid and dirty way masks of one set (bit w = way w). */
+    struct SetState
+    {
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
+    };
+
+    /** Valid lines of one tag window; an empty slot has count 0. */
+    struct WindowCount
     {
         std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
+        std::uint64_t count = 0;
     };
 
     std::uint64_t lineNum(Addr addr) const { return addr / lineBytes_; }
-    std::size_t setIndex(std::uint64_t line) const { return line % sets_; }
+
+    /** Ways of @p set whose stored tag equals @p tag (valid or not). */
+    std::uint64_t matchWays(std::size_t set, std::uint64_t tag) const;
+
+    /** First slot @p tag's probe run visits. */
+    std::size_t
+    windowHome(std::uint64_t tag) const
+    {
+        return static_cast<std::size_t>((tag * 0x9e3779b97f4a7c15ULL) >>
+                                        windowShift_);
+    }
+
+    /** Slot holding @p tag's count, or the empty slot ending its probe. */
+    std::size_t windowSlot(std::uint64_t tag) const;
+    std::uint64_t residentLines(std::uint64_t tag) const;
+    void addResident(std::uint64_t tag);
+    void dropResident(std::uint64_t tag, std::uint64_t lines);
+    void resetWindows(std::size_t slots);
+    void rebuildWindows();
 
     std::uint64_t capacityBytes_;
     std::uint32_t lineBytes_;
     std::uint32_t ways_;
     std::size_t sets_;
-    std::vector<Line> lines_;
+
+    /** Per line, set-major (set * ways + way): stored tag, LRU stamp. */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<SetState> state_;
     std::uint64_t useClock_ = 0;
+
+    /**
+     * Valid-line count per tag window (the sets_ consecutive lines that
+     * share one tag), in a flat linear-probing table that holds only
+     * windows with resident lines. invalidatePage skips every window
+     * the page overlaps whose count is 0.
+     */
+    std::vector<WindowCount> windows_;
+    std::size_t windowsUsed_ = 0;
+    unsigned windowShift_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -1,6 +1,7 @@
 #include "core/gps_paradigm.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/sink.hh"
 #include "common/logging.hh"
@@ -35,6 +36,8 @@ GpsParadigm::GpsParadigm(MultiGpuSystem& system)
     }
     chargedStallDrains_.assign(system.numGpus(), 0);
     hierTopo_ = dynamic_cast<const NodeTopology*>(&system.topology());
+    headerBytes_ = system.topology().spec().headerBytes;
+    resetPending(16);
 }
 
 void
@@ -116,8 +119,7 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
         queues_[gpu]->noteAtomicBypass();
         ++counters.wqAtomicBypass;
         units_[gpu]->translate(vpn, counters);
-        forwardToSubscribers(gpu, remote, vpn, access.size, counters,
-                             traffic);
+        forwardToSubscribers(gpu, remote, vpn, access.size, counters);
         return;
     }
 
@@ -129,7 +131,6 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
     }
 
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     const bool coalesced = queues_[gpu]->insert(
         access.vaddr, access.size,
         static_cast<std::uint32_t>(maskCount(remote)));
@@ -144,7 +145,7 @@ GpsParadigm::accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,
 void
 GpsParadigm::onDrain(GpuId producer, const WqEntry& entry)
 {
-    gps_assert(ctxCounters_ != nullptr && ctxTraffic_ != nullptr,
+    gps_assert(ctxCounters_ != nullptr,
                "write queue drained outside a replay context");
     // W5: translate through the GPS-TLB / GPS page table.
     units_[producer]->translate(entry.vpn, *ctxCounters_);
@@ -153,53 +154,112 @@ GpsParadigm::onDrain(GpuId producer, const WqEntry& entry)
     // transfers are block-granular; §7.5 discusses the waste).
     const PageState& st = drv().state(entry.vpn);
     forwardToSubscribers(producer, st.subscribers, entry.vpn, lineBytes(),
-                         *ctxCounters_, *ctxTraffic_);
+                         *ctxCounters_);
     ++ctxCounters_->wqDrains;
+}
+
+std::size_t
+GpsParadigm::pendingSlot(GpuId producer, const GpuMask& remote) const
+{
+    std::uint64_t h = producer;
+    for (std::size_t i = 0; i < GpuMask::words; ++i)
+        h = (h ^ remote.word(i)) * 0x9e3779b97f4a7c15ULL;
+    const std::size_t mask = pending_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(h >> pendingShift_);
+    while (pending_[slot].messages != 0 &&
+           (pending_[slot].producer != producer ||
+            pending_[slot].remote != remote))
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+GpsParadigm::resetPending(std::size_t slots)
+{
+    pending_.assign(slots, PendingForward{});
+    pendingSlots_.clear();
+    pendingShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 void
 GpsParadigm::forwardToSubscribers(GpuId producer,
                                   const GpuMask& subscribers, PageNum vpn,
                                   std::uint32_t payload,
-                                  KernelCounters& counters,
-                                  TrafficMatrix& traffic)
+                                  KernelCounters& counters)
+{
+    const GpuMask remote = maskClear(subscribers, producer);
+    const std::uint64_t fanout = maskCount(remote);
+    if (fanout == 0)
+        return;
+    counters.pushedStoreBytes += payload * fanout;
+    if (ProfileCollector* profile = sys().probes().profile)
+        profile->noteRemoteWriteForward(vpn, payload, fanout);
+
+    // Keep the load at or below one half so probe runs stay short.
+    if (2 * (pendingSlots_.size() + 1) > pending_.size()) {
+        std::vector<PendingForward> old;
+        old.swap(pending_);
+        std::vector<std::size_t> old_slots;
+        old_slots.swap(pendingSlots_);
+        resetPending(old.size() * 2);
+        for (const std::size_t s : old_slots) {
+            const std::size_t slot =
+                pendingSlot(old[s].producer, old[s].remote);
+            pending_[slot] = old[s];
+            pendingSlots_.push_back(slot);
+        }
+    }
+    const std::size_t slot = pendingSlot(producer, remote);
+    PendingForward& p = pending_[slot];
+    if (p.messages == 0) {
+        p.producer = producer;
+        p.remote = remote;
+        pendingSlots_.push_back(slot);
+    }
+    ++p.messages;
+    p.payload += payload;
+}
+
+void
+GpsParadigm::flushForwards(TrafficMatrix& traffic)
 {
     const bool hier =
         hierTopo_ != nullptr && cfg().hierarchicalSubscription;
-    const std::size_t home =
-        hierTopo_ != nullptr ? hierTopo_->nodeOf(producer) : 0;
-    // maskForEach visits ascending GPU ids and nodes are contiguous id
-    // ranges, so each remote node's subscribers arrive consecutively:
-    // tracking only the most recent proxy suffices.
-    GpuId proxy = invalidGpu;
-    std::size_t proxy_node = 0;
-    ProfileCollector* profile = sys().probes().profile;
-    maskForEach(subscribers, [&](GpuId sub) {
-        if (sub == producer)
-            return;
-        GpuId src = producer;
-        if (hierTopo_ != nullptr) {
-            const std::size_t node = hierTopo_->nodeOf(sub);
-            if (node != home) {
-                if (!hier) {
-                    ++uplinkForwards_;
-                } else if (proxy == invalidGpu || node != proxy_node) {
-                    // First subscriber on this remote node becomes the
-                    // node's proxy: one copy crosses the uplink...
-                    proxy = sub;
-                    proxy_node = node;
-                    ++uplinkForwards_;
-                } else {
-                    // ...and the proxy fans out to its node-mates.
-                    src = proxy;
+    for (const std::size_t slot : pendingSlots_) {
+        PendingForward& p = pending_[slot];
+        const std::uint64_t wire = p.payload + p.messages * headerBytes_;
+        const std::size_t home =
+            hierTopo_ != nullptr ? hierTopo_->nodeOf(p.producer) : 0;
+        // maskForEach visits ascending GPU ids and nodes are contiguous
+        // id ranges, so each remote node's subscribers arrive
+        // consecutively: tracking only the most recent proxy suffices.
+        GpuId proxy = invalidGpu;
+        std::size_t proxy_node = 0;
+        maskForEach(p.remote, [&](GpuId sub) {
+            GpuId src = p.producer;
+            if (hierTopo_ != nullptr) {
+                const std::size_t node = hierTopo_->nodeOf(sub);
+                if (node != home) {
+                    if (!hier) {
+                        uplinkForwards_ += p.messages;
+                    } else if (proxy == invalidGpu || node != proxy_node) {
+                        // First subscriber on this remote node becomes
+                        // the node's proxy: one copy crosses the
+                        // uplink...
+                        proxy = sub;
+                        proxy_node = node;
+                        uplinkForwards_ += p.messages;
+                    } else {
+                        // ...and the proxy fans out to its node-mates.
+                        src = proxy;
+                    }
                 }
             }
-        }
-        traffic.add(src, sub, payload + headerBytes(), payload);
-        counters.pushedStoreBytes += payload;
-        if (profile != nullptr)
-            profile->noteRemoteWriteForward(vpn, payload);
-    });
+            traffic.add(src, sub, wire, p.payload);
+        });
+        p = PendingForward{};
+    }
+    pendingSlots_.clear();
 }
 
 void
@@ -213,7 +273,6 @@ GpsParadigm::handleSysWrite(GpuId gpu, const MemAccess& access,
     // hears about the flush first so its reference model drains with
     // the same pre-collapse subscriber masks the drains below see.
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     if (GpsCheckSink* check = sys().probes().check)
         check->noteSysFlush(vpn);
     for (auto& queue : queues_)
@@ -242,9 +301,18 @@ GpsParadigm::endKernel(GpuId gpu, KernelCounters& counters,
 {
     // Implicit release at the end of every grid: full drain (§3.3).
     ctxCounters_ = &counters;
-    ctxTraffic_ = &traffic;
     queues_[gpu]->drainAll();
     sys().gpu(gpu).storeCoalescer().reset();
+    flushForwards(traffic);
+}
+
+Tick
+GpsParadigm::beginPhase(const Phase& phase, KernelCounters& counters,
+                        TrafficMatrix& prefetch_traffic)
+{
+    gps_assert(pendingSlots_.empty(),
+               "subscriber forwards left pending past a phase's kernels");
+    return Paradigm::beginPhase(phase, counters, prefetch_traffic);
 }
 
 void
@@ -489,6 +557,8 @@ GpsParadigm::registerMetrics(MetricRegistry& reg) const
 void
 GpsParadigm::saveState(snapshot::Serializer& out) const
 {
+    gps_assert(pendingSlots_.empty(),
+               "snapshot taken with subscriber forwards pending");
     out.section("paradigm:gps");
     gpsTable_->saveState(out);
     subs_->saveState(out);

@@ -42,6 +42,14 @@ class GpsParadigm : public Paradigm
     MemKind sharedKind() const override { return MemKind::Gps; }
 
     void onSetupComplete() override;
+    Tick beginPhase(const Phase& phase, KernelCounters& counters,
+                    TrafficMatrix& prefetch_traffic) override;
+
+    /**
+     * Drain @p gpu's write queue, then add every subscriber forward
+     * still pending (from any GPU) to @p traffic: the phase traffic
+     * matrix is complete once every endKernel of the phase has returned.
+     */
     void endKernel(GpuId gpu, KernelCounters& counters,
                    TrafficMatrix& traffic) override;
     void trackingStart() override;
@@ -99,7 +107,8 @@ class GpsParadigm : public Paradigm
      * different nodes (drains and atomic bypasses). On a hierarchical
      * subscription this is one per remote node per forwarded line; flat
      * forwarding pays one per remote-node subscriber. Always 0 on a
-     * single-node topology.
+     * single-node topology. Counted when endKernel expands the pending
+     * forwards.
      */
     std::uint64_t uplinkForwards() const { return uplinkForwards_; }
 
@@ -129,15 +138,22 @@ class GpsParadigm : public Paradigm
 
     /**
      * Deliver one forwarded line (or atomic payload) to every subscriber
-     * other than the producer. On a multi-node topology with
-     * hierarchicalSubscription enabled, each remote node receives exactly
-     * one copy over the uplink (to a proxy subscriber) and the proxy
-     * fans the line out to its node-mates over the local tier.
+     * other than the producer. The payload counters are charged at
+     * once; the wire traffic is summed per (producer, remote mask) and
+     * expanded by flushForwards() at the next endKernel.
      */
     void forwardToSubscribers(GpuId producer, const GpuMask& subscribers,
                               PageNum vpn, std::uint32_t payload,
-                              KernelCounters& counters,
-                              TrafficMatrix& traffic);
+                              KernelCounters& counters);
+
+    /**
+     * Expand every pending (producer, remote mask) sum into @p traffic,
+     * one cell per subscriber. On a multi-node topology with
+     * hierarchicalSubscription enabled, each remote node receives exactly
+     * one copy per message over the uplink (to a proxy subscriber) and
+     * the proxy fans it out to its node-mates over the local tier.
+     */
+    void flushForwards(TrafficMatrix& traffic);
     void handleSysWrite(GpuId gpu, const MemAccess& access, PageNum vpn,
                         KernelCounters& counters, TrafficMatrix& traffic);
 
@@ -166,7 +182,6 @@ class GpsParadigm : public Paradigm
 
     /** Drain context: the phase currently being replayed. */
     KernelCounters* ctxCounters_ = nullptr;
-    TrafficMatrix* ctxTraffic_ = nullptr;
 
     /** (vpn, gpu) -> remote accesses since the replica was lost. */
     std::unordered_map<std::uint64_t, std::uint32_t> degraded_;
@@ -179,6 +194,31 @@ class GpsParadigm : public Paradigm
 
     /** Cross-node remote-write messages (see uplinkForwards()). */
     std::uint64_t uplinkForwards_ = 0;
+
+    /** Per-message protocol header bytes of the interconnect. */
+    std::uint32_t headerBytes_ = 0;
+
+    /** Forwards of one producer to one remote subscriber mask. */
+    struct PendingForward
+    {
+        GpuMask remote;
+        GpuId producer = invalidGpu;
+        std::uint64_t messages = 0;
+        std::uint64_t payload = 0;
+    };
+
+    /**
+     * Forwards not yet added to a traffic matrix, in a flat
+     * linear-probing table keyed by (producer, remote mask); an empty
+     * slot has messages == 0. pendingSlots_ lists the occupied slots in
+     * first-use order so a flush touches only those.
+     */
+    std::vector<PendingForward> pending_;
+    std::vector<std::size_t> pendingSlots_;
+    unsigned pendingShift_ = 0;
+
+    std::size_t pendingSlot(GpuId producer, const GpuMask& remote) const;
+    void resetPending(std::size_t slots);
 };
 
 } // namespace gps

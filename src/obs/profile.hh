@@ -163,13 +163,15 @@ class ProfileCollector
   public:
     ProfileCollector(std::uint64_t pages_per_bucket, std::size_t top_n);
 
-    /** One cache-line message forwarded to a remote subscriber. */
+    /** @p count messages of @p payload_bytes each forwarded to remote
+     *  subscribers (one per subscriber). */
     void
-    noteRemoteWriteForward(PageNum vpn, std::uint64_t payload_bytes)
+    noteRemoteWriteForward(PageNum vpn, std::uint64_t payload_bytes,
+                           std::uint64_t count = 1)
     {
         PageHeat& h = heat_[bucketOf(vpn)];
-        ++h.remoteWritesForwarded;
-        h.rwqBytes += payload_bytes;
+        h.remoteWritesForwarded += count;
+        h.rwqBytes += payload_bytes * count;
     }
 
     /** A successful subscribe or unsubscribe of @p vpn. */

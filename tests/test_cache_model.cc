@@ -1,11 +1,19 @@
 /**
  * @file
- * Unit and property tests for the set-associative write-back cache.
+ * Unit and property tests for the set-associative write-back cache,
+ * plus a differential check against a deliberately plain reference L2.
  */
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <memory>
+#include <ostream>
+#include <set>
+
 #include "cache/cache_model.hh"
+#include "common/rng.hh"
+#include "common/stats.hh"
 #include "common/units.hh"
 
 namespace gps
@@ -156,6 +164,286 @@ TEST(CacheModel, Table1L2Configuration)
     EXPECT_EQ(l2.capacityBytes(), 6 * MiB);
     EXPECT_EQ(l2.lineBytes(), 128u);
 }
+
+TEST(CacheModelDeathTest, ZeroWaysIsRejectedBeforeDividing)
+{
+    EXPECT_DEATH(CacheModel("l2", 16 * KiB, 128, 0), "associativity");
+}
+
+TEST(CacheModelDeathTest, ZeroLineSizeIsRejectedBeforeDividing)
+{
+    EXPECT_DEATH(CacheModel("l2", 16 * KiB, 0, 4), "line size");
+}
+
+TEST(CacheModelDeathTest, MoreThanSixtyFourWaysIsRejected)
+{
+    EXPECT_DEATH(CacheModel("l2", 128 * 128, 128, 128), "64-way");
+}
+
+TEST(CacheModel, SixtyFourWaysFillEveryWayBeforeEvicting)
+{
+    CacheModel cache("l2", 64 * 128, 128, 64); // one set, 64 ways
+    for (Addr a = 0; a < 64 * 128; a += 128)
+        EXPECT_FALSE(cache.access(a, true).hit);
+    for (Addr a = 0; a < 64 * 128; a += 128)
+        EXPECT_TRUE(cache.contains(a));
+    // The 65th line evicts line 0, the least recently used, dirty.
+    EXPECT_EQ(cache.access(64 * 128, false).writebackBytes, 128u);
+    EXPECT_FALSE(cache.contains(0));
+}
+
+TEST(CacheModel, InvalidatePageStraddlingTwoTagWindows)
+{
+    // 24 sets: a 4 KB page (32 lines) spans two tag windows.
+    CacheModel cache("l2", 24 * 4 * 128, 128, 4);
+    for (Addr a = 4096; a < 8192; a += 128)
+        cache.access(a, true);
+    EXPECT_EQ(cache.invalidatePage(4096, 4096), 4096u);
+    for (Addr a = 4096; a < 8192; a += 128)
+        EXPECT_FALSE(cache.contains(a));
+    EXPECT_EQ(cache.invalidatePage(4096, 4096), 0u);
+}
+
+/**
+ * Reference L2: one most-recent-first std::list per set, no way
+ * indices, no masks, no resident counts. A miss in a full set evicts
+ * the list's tail.
+ */
+class RefCache
+{
+  public:
+    RefCache(std::uint64_t capacity, std::uint32_t line, std::uint32_t ways)
+        : line_(line), ways_(ways), sets_(capacity / line / ways)
+    {}
+
+    CacheResult
+    access(Addr addr, bool is_write)
+    {
+        const std::uint64_t l = addr / line_;
+        std::list<Entry>& set = sets_[l % sets_.size()];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->line == l) {
+                Entry e = *it;
+                e.dirty |= is_write;
+                set.erase(it);
+                set.push_front(e);
+                ++hits;
+                return {true, 0};
+            }
+        }
+        ++misses;
+        CacheResult result{false, 0};
+        if (set.size() == ways_) {
+            ++evictions;
+            if (set.back().dirty) {
+                ++writebacks;
+                result.writebackBytes = line_;
+            }
+            set.pop_back();
+        }
+        set.push_front({l, is_write});
+        return result;
+    }
+
+    bool
+    contains(Addr addr) const
+    {
+        const std::uint64_t l = addr / line_;
+        for (const Entry& e : sets_[l % sets_.size()])
+            if (e.line == l)
+                return true;
+        return false;
+    }
+
+    std::uint64_t
+    invalidatePage(Addr base, std::uint64_t bytes)
+    {
+        std::uint64_t writeback = 0;
+        for (std::uint64_t l = base / line_; l < (base + bytes) / line_;
+             ++l) {
+            std::list<Entry>& set = sets_[l % sets_.size()];
+            for (auto it = set.begin(); it != set.end(); ++it) {
+                if (it->line == l) {
+                    if (it->dirty) {
+                        ++writebacks;
+                        writeback += line_;
+                    }
+                    set.erase(it);
+                    break;
+                }
+            }
+        }
+        return writeback;
+    }
+
+    std::uint64_t
+    flushAll()
+    {
+        std::uint64_t writeback = 0;
+        for (std::list<Entry>& set : sets_) {
+            for (const Entry& e : set) {
+                if (e.dirty) {
+                    ++writebacks;
+                    writeback += line_;
+                }
+            }
+            set.clear();
+        }
+        return writeback;
+    }
+
+    /** Distinct tag windows (line / sets) among the resident lines. */
+    std::size_t
+    residentWindows() const
+    {
+        std::set<std::uint64_t> windows;
+        for (const std::list<Entry>& set : sets_)
+            for (const Entry& e : set)
+                windows.insert(e.line / sets_.size());
+        return windows.size();
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Entry
+    {
+        std::uint64_t line;
+        bool dirty;
+    };
+
+    std::uint32_t line_;
+    std::uint32_t ways_;
+    std::vector<std::list<Entry>> sets_;
+};
+
+struct OracleShape
+{
+    const char* name;
+    std::uint64_t capacity;
+    std::uint32_t ways;
+};
+
+void
+PrintTo(const OracleShape& shape, std::ostream* os)
+{
+    *os << shape.name;
+}
+
+class CacheOracle : public ::testing::TestWithParam<OracleShape>
+{};
+
+void
+expectSameCounters(const CacheModel& cache, const RefCache& ref,
+                   std::size_t op)
+{
+    StatSet stats;
+    cache.exportStats(stats);
+    EXPECT_EQ(cache.hits(), ref.hits) << "op " << op;
+    EXPECT_EQ(cache.misses(), ref.misses) << "op " << op;
+    EXPECT_EQ(stats.get("l2.evictions"), static_cast<double>(ref.evictions))
+        << "op " << op;
+    EXPECT_EQ(stats.get("l2.writebacks"),
+              static_cast<double>(ref.writebacks))
+        << "op " << op;
+}
+
+TEST_P(CacheOracle, SeededSequencesMatchTheReference)
+{
+    const OracleShape shape = GetParam();
+    constexpr std::uint32_t line = 128;
+    constexpr std::uint64_t span = 8 * MiB;
+    const std::uint64_t pages[] = {4 * KiB, 64 * KiB, 2 * MiB};
+
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        auto cache = std::make_unique<CacheModel>("l2", shape.capacity,
+                                                  line, shape.ways);
+        RefCache ref(shape.capacity, line, shape.ways);
+        // A hot window that moves now and then keeps the hit rate and
+        // the number of resident lines per invalidated page up.
+        Addr hot = 0;
+        const std::uint64_t hot_bytes = 2 * shape.capacity;
+        for (std::size_t op = 0; op < 20000; ++op) {
+            const std::uint64_t pick = rng.below(1000);
+            if (pick < 850) {
+                if (rng.below(500) == 0)
+                    hot = rng.below(span / (64 * KiB)) * (64 * KiB);
+                const Addr addr =
+                    rng.below(4) == 0 ? rng.below(span)
+                                      : hot + rng.below(hot_bytes);
+                const bool write = rng.below(2) == 0;
+                const CacheResult got = cache->access(addr, write);
+                const CacheResult want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                ASSERT_EQ(got.writebackBytes, want.writebackBytes)
+                    << "op " << op;
+                ASSERT_TRUE(cache->contains(addr)) << "op " << op;
+            } else if (pick < 992) {
+                const std::uint64_t page = pages[rng.below(3)];
+                // Mostly pages near the hot window, so lines are there.
+                const Addr near = rng.below(2) == 0 ? hot : rng.below(span);
+                const Addr base = near / page * page;
+                ASSERT_EQ(cache->invalidatePage(base, page),
+                          ref.invalidatePage(base, page))
+                    << "op " << op;
+                for (int i = 0; i < 8; ++i) {
+                    const Addr probe = base + rng.below(page);
+                    ASSERT_FALSE(cache->contains(probe)) << "op " << op;
+                }
+            } else if (pick < 996) {
+                ASSERT_EQ(cache->flushAll(), ref.flushAll()) << "op " << op;
+            } else {
+                // Round-trip through a snapshot into a fresh instance
+                // and carry on with the restored one.
+                snapshot::Serializer out;
+                cache->saveState(out);
+                auto restored = std::make_unique<CacheModel>(
+                    "l2", shape.capacity, line, shape.ways);
+                snapshot::Deserializer in(out.bytes());
+                restored->restoreState(in);
+                snapshot::Serializer again;
+                restored->saveState(again);
+                ASSERT_EQ(again.bytes(), out.bytes()) << "op " << op;
+                cache = std::move(restored);
+            }
+            for (int i = 0; i < 4; ++i) {
+                const Addr probe = hot + rng.below(hot_bytes);
+                ASSERT_EQ(cache->contains(probe), ref.contains(probe))
+                    << "op " << op;
+            }
+            expectSameCounters(*cache, ref, op);
+            // The resident-window table must track exactly the windows
+            // with a valid line: no under-count (skipped invalidations),
+            // no stale entries (memory growing with every tag seen).
+            if (op % 500 == 499 || pick >= 992) {
+                ASSERT_EQ(cache->residentWindows(), ref.residentWindows())
+                    << "op " << op;
+            }
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracle,
+    ::testing::Values(
+        // 32 sets: pages cover whole tag windows.
+        OracleShape{"Sets32Ways4", 16 * KiB, 4},
+        // 24 sets: every page straddles tag windows.
+        OracleShape{"Sets24Ways4", 24 * 4 * 128, 4},
+        // 3 sets of 64 ways: full way masks.
+        OracleShape{"Sets3Ways64", 3 * 64 * 128, 64},
+        // Table 1 L2: 3072 sets, 16 ways; a 2 MB page spans 5-6 windows.
+        OracleShape{"Table1", 6 * MiB, 16}),
+    [](const ::testing::TestParamInfo<OracleShape>& info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace gps
