@@ -1,10 +1,40 @@
 #include "api/result_export.hh"
 
+#include <algorithm>
+#include <array>
+#include <string_view>
+
 #include "check/check_config.hh"
 #include "common/json.hh"
 
 namespace gps
 {
+
+namespace
+{
+
+/** The KernelCounters fields the "totals" object carries, in order. */
+constexpr auto totalsFields = [] {
+    constexpr std::string_view names[] = {
+        "accesses",     "loads",          "stores",
+        "atomics",      "page_faults",    "page_migrations",
+        "remote_loads", "remote_atomics", "pushed_store_bytes",
+        "wq_inserts",   "wq_coalesced",   "wq_drains",
+        "sys_collapses",
+    };
+    std::array<CounterField<KernelCounters>, std::size(names)> out{};
+    for (std::size_t i = 0; i < out.size(); ++i)
+        for (const auto& f : kernelCounterFields)
+            if (names[i] == f.name)
+                out[i] = f;
+    return out;
+}();
+
+static_assert(std::all_of(totalsFields.begin(), totalsFields.end(),
+                          [](const auto& f) { return f.name != nullptr; }),
+              "every totals field names a KernelCounters member");
+
+} // namespace
 
 std::string
 resultToJson(const RunResult& result, bool include_stats)
@@ -23,19 +53,8 @@ resultToJson(const RunResult& result, bool include_stats)
     json.field("gps_tlb_hit_rate", result.gpsTlbHitRate);
 
     json.key("totals").beginObject();
-    json.field("accesses", result.totals.accesses);
-    json.field("loads", result.totals.loads);
-    json.field("stores", result.totals.stores);
-    json.field("atomics", result.totals.atomics);
-    json.field("page_faults", result.totals.pageFaults);
-    json.field("page_migrations", result.totals.pageMigrations);
-    json.field("remote_loads", result.totals.remoteLoads);
-    json.field("remote_atomics", result.totals.remoteAtomics);
-    json.field("pushed_store_bytes", result.totals.pushedStoreBytes);
-    json.field("wq_inserts", result.totals.wqInserts);
-    json.field("wq_coalesced", result.totals.wqCoalesced);
-    json.field("wq_drains", result.totals.wqDrains);
-    json.field("sys_collapses", result.totals.sysCollapses);
+    for (const auto& f : totalsFields)
+        json.field(f.name, result.totals.*f.member);
     json.endObject();
 
     if (result.hasSubscriberHist) {
@@ -48,20 +67,9 @@ resultToJson(const RunResult& result, bool include_stats)
     if (result.hasFaultReport) {
         const FaultReport& faults = result.faultReport;
         json.key("faults").beginObject();
-        json.field("injected", faults.faultsInjected);
-        json.field("links_down", faults.linksDown);
-        json.field("links_degraded", faults.linksDegraded);
-        json.field("links_restored", faults.linksRestored);
-        json.field("reroutes", faults.reroutes);
-        json.field("rerouted_bytes", faults.reroutedBytes);
-        json.field("pcie_fallbacks", faults.pcieFallbacks);
-        json.field("pcie_fallback_bytes", faults.pcieFallbackBytes);
-        json.field("pages_retired", faults.pagesRetired);
-        json.field("replicas_lost", faults.replicasLost);
-        json.field("pages_degraded", faults.pagesDegraded);
-        json.field("resubscribes", faults.resubscribes);
-        json.field("wq_saturations", faults.wqSaturations);
-        json.field("wq_saturated_drains", faults.wqSaturatedDrains);
+        for (const auto& f : faultReportFields)
+            if (f.member != &FaultReport::stallTicks)
+                json.field(f.name, faults.*f.member);
         json.field("stall_time_ms", ticksToMs(faults.stallTicks));
         json.endObject();
     }

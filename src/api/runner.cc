@@ -74,8 +74,9 @@ Runner::run(Workload& workload)
     std::unique_ptr<Observability> obs;
     if (config_.obs.enabled()) {
         obs = std::make_unique<Observability>(config_.obs);
-        system.registerMetrics(obs->registry());
-        paradigm->registerMetrics(obs->registry());
+        MetricRegistrar metrics(obs->registry());
+        system.declareStats(metrics);
+        metrics.visit(*paradigm);
         if (fault_engine != nullptr)
             fault_engine->registerMetrics(obs->registry());
         if (TimelineRecorder* rec = obs->recorder()) {
@@ -394,7 +395,7 @@ Runner::run(Workload& workload)
                   static_cast<double>(tlb_hits + tlb_misses);
 
     result.stats = system.stats();
-    paradigm->exportStats(result.stats);
+    StatWriter(result.stats).visit(*paradigm);
     totals.exportStats(result.stats, "totals");
     result.wqHitRate = result.stats.get("gps.wq_hit_rate");
     result.gpsTlbHitRate = result.stats.get("gps.gps_tlb_hit_rate");

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "interconnect/node_topology.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -93,32 +92,22 @@ MultiGpuSystem::configDump() const
     return dump;
 }
 
+void
+MultiGpuSystem::declareStats(StatVisitor& v) const
+{
+    for (const auto& gpu : gpus_)
+        v.visit(*gpu);
+    v.visit(*topology_);
+    v.visit(*driver_);
+}
+
 StatSet
 MultiGpuSystem::stats() const
 {
     StatSet out;
-    for (const auto& gpu : gpus_)
-        gpu->exportStats(out);
-    topology_->exportStats(out);
-    driver_->exportStats(out);
+    StatWriter writer(out);
+    declareStats(writer);
     return out;
-}
-
-void
-MultiGpuSystem::registerMetrics(MetricRegistry& reg) const
-{
-    for (const auto& gpu : gpus_)
-        gpu->registerMetrics(reg);
-    topology_->registerMetrics(reg);
-    driver_->registerMetrics(reg);
-}
-
-void
-MultiGpuSystem::resetStats()
-{
-    for (auto& gpu : gpus_)
-        gpu->resetStats();
-    topology_->resetStats();
 }
 
 } // namespace gps

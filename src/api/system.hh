@@ -30,7 +30,7 @@ namespace gps
 {
 
 class FaultEngine;
-class MetricRegistry;
+class StatVisitor;
 
 /** Full system configuration. */
 struct SystemConfig
@@ -110,13 +110,11 @@ class MultiGpuSystem
     /** Table 1 style parameter dump. */
     ConfigDump configDump() const;
 
+    /** Visit every component: the GPUs, the topology, the driver. */
+    void declareStats(StatVisitor& v) const;
+
     /** Snapshot of every component's statistics. */
     StatSet stats() const;
-
-    /** Register every component's metrics (same set as stats()). */
-    void registerMetrics(MetricRegistry& reg) const;
-
-    void resetStats();
 
   private:
     SystemConfig config_;

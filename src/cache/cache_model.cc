@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -308,37 +307,13 @@ CacheModel::hitRate() const
 }
 
 void
-CacheModel::exportStats(StatSet& out) const
+CacheModel::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".hits", static_cast<double>(hits_));
-    out.set(name() + ".misses", static_cast<double>(misses_));
-    out.set(name() + ".evictions", static_cast<double>(evictions_));
-    out.set(name() + ".writebacks", static_cast<double>(writebacks_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
-CacheModel::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "hits", "events",
-                [this] { return static_cast<double>(hits_); });
-    reg.counter(p + "misses", "events",
-                [this] { return static_cast<double>(misses_); });
-    reg.counter(p + "evictions", "events",
-                [this] { return static_cast<double>(evictions_); });
-    reg.counter(p + "writebacks", "events",
-                [this] { return static_cast<double>(writebacks_); });
-    reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-CacheModel::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    writebacks_ = 0;
+    v.counter("hits", "events", hits_);
+    v.counter("misses", "events", misses_);
+    v.counter("evictions", "events", evictions_);
+    v.counter("writebacks", "events", writebacks_);
+    v.gauge("hit_rate", "ratio", [this] { return hitRate(); });
 }
 
 } // namespace gps

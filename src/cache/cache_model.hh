@@ -70,10 +70,6 @@ class CacheModel : public SimObject
     std::uint64_t misses() const { return misses_; }
     double hitRate() const;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /**
      * Serialize every line (tag, valid, dirty, last use; invalidated
      * lines keep their stale tag and dirty bit), the LRU clock, and the
@@ -85,6 +81,8 @@ class CacheModel : public SimObject
     void restoreState(snapshot::Deserializer& in);
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     /** Valid and dirty way masks of one set (bit w = way w). */
     struct SetState
     {

@@ -4,14 +4,18 @@ namespace gps
 {
 
 void
-AccessTracker::exportStats(StatSet& out) const
+AccessTracker::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".marks", static_cast<double>(marks_));
-    std::uint64_t touched = 0;
-    for (const auto& set : perGpu_)
-        touched += set.size();
-    out.set(name() + ".touched_page_entries",
-            static_cast<double>(touched));
+    v.counter("marks", "events", marks_, StatScope::StatsOnly);
+    v.gauge(
+        "touched_page_entries", "pages",
+        [this] {
+            std::uint64_t touched = 0;
+            for (const auto& set : perGpu_)
+                touched += set.size();
+            return static_cast<double>(touched);
+        },
+        StatScope::StatsOnly);
 }
 
 } // namespace gps

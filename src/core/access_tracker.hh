@@ -88,8 +88,6 @@ class AccessTracker : public SimObject
 
     std::uint64_t marks() const { return marks_; }
 
-    void exportStats(StatSet& out) const override;
-
     /**
      * Serialize the touched sets in ascending VPN order — the
      * unordered sets feed only order-insensitive consumers
@@ -133,6 +131,8 @@ class AccessTracker : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     std::vector<std::unordered_set<PageNum>> perGpu_;
     bool active_ = false;
     std::uint64_t marks_ = 0;

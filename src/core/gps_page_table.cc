@@ -81,9 +81,9 @@ GpsPageTable::pteBits(std::size_t num_gpus, std::uint32_t vpn_bits,
 }
 
 void
-GpsPageTable::exportStats(StatSet& out) const
+GpsPageTable::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".entries", static_cast<double>(live_));
+    v.gauge("entries", "pages", live_, StatScope::StatsOnly);
 }
 
 } // namespace gps

@@ -112,8 +112,6 @@ class GpsPageTable : public SimObject
         }
     }
 
-    void exportStats(StatSet& out) const override;
-
     /** Serialize the dense PTE array (replica lists are ordered). */
     void
     saveState(snapshot::Serializer& out) const
@@ -149,6 +147,8 @@ class GpsPageTable : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     /** A replica list can never exceed the mask width. */
     static constexpr std::uint64_t maxGpusPerReplicaList = maxGpus;
 

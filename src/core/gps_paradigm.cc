@@ -8,7 +8,6 @@
 #include "fault/fault_engine.hh"
 #include "interconnect/node_topology.hh"
 #include "obs/causal/causal.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 
 namespace gps
@@ -510,48 +509,25 @@ GpsParadigm::gpsTlbHitRate() const
 }
 
 void
-GpsParadigm::exportStats(StatSet& out) const
+GpsParadigm::declareStats(StatVisitor& v) const
 {
-    subs_->exportStats(out);
-    gpsTable_->exportStats(out);
-    tracker_->exportStats(out);
+    v.visit(*subs_);
+    v.visit(*gpsTable_);
+    v.visit(*tracker_);
     for (const auto& queue : queues_)
-        queue->exportStats(out);
+        v.visit(*queue);
     for (const auto& unit : units_)
-        unit->exportStats(out);
-    std::uint64_t forward_hits = 0;
-    for (const auto& queue : queues_)
-        forward_hits += queue->forwardHits();
-    out.set("gps.wq_forward_hits", static_cast<double>(forward_hits));
-    out.set("gps.uplink_forwards",
-            static_cast<double>(uplinkForwards_));
-    out.set("gps.wq_hit_rate", wqHitRate());
-    out.set("gps.gps_tlb_hit_rate", gpsTlbHitRate());
-}
-
-void
-GpsParadigm::registerMetrics(MetricRegistry& reg) const
-{
-    subs_->registerMetrics(reg);
-    gpsTable_->registerMetrics(reg);
-    tracker_->registerMetrics(reg);
-    for (const auto& queue : queues_)
-        queue->registerMetrics(reg);
-    for (const auto& unit : units_)
-        unit->registerMetrics(reg);
-    reg.counter("gps.wq_forward_hits", "loads", [this] {
+        v.visit(*unit);
+    v.counter("wq_forward_hits", "loads", [this] {
         std::uint64_t forward_hits = 0;
         for (const auto& queue : queues_)
             forward_hits += queue->forwardHits();
         return static_cast<double>(forward_hits);
     });
-    reg.counter("gps.uplink_forwards", "messages", [this] {
-        return static_cast<double>(uplinkForwards_);
-    });
-    reg.gauge("gps.wq_hit_rate", "ratio",
-              [this] { return wqHitRate(); });
-    reg.gauge("gps.gps_tlb_hit_rate", "ratio",
-              [this] { return gpsTlbHitRate(); });
+    v.counter("uplink_forwards", "messages", uplinkForwards_);
+    v.gauge("wq_hit_rate", "ratio", [this] { return wqHitRate(); });
+    v.gauge("gps_tlb_hit_rate", "ratio",
+            [this] { return gpsTlbHitRate(); });
 }
 
 void
@@ -569,7 +545,7 @@ GpsParadigm::saveState(snapshot::Serializer& out) const
     out.u64(units_.size());
     for (const auto& unit : units_)
         unit->saveState(out);
-    // degraded_ keys are (vpn << 6 | gpu); sorted so snapshot bytes never
+    // degraded_ keys are (vpn << 8) | gpu; sorted so snapshot bytes never
     // depend on hash iteration order.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> degraded(
         degraded_.begin(), degraded_.end());

@@ -115,9 +115,6 @@ class GpsParadigm : public Paradigm
     /** Aggregate GPS-TLB hit rate (Section 7.4). */
     double gpsTlbHitRate() const;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-
     /**
      * Serialize the full publish-subscribe machine: GPS page table,
      * subscription counters, access tracker, per-GPU write queues and
@@ -134,6 +131,8 @@ class GpsParadigm : public Paradigm
                       TrafficMatrix& traffic) override;
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     void onDrain(GpuId producer, const WqEntry& entry);
 
     /**

@@ -1,6 +1,5 @@
 #include "core/gps_translation_unit.hh"
 
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -28,18 +27,10 @@ GpsTranslationUnit::translate(PageNum vpn, KernelCounters& counters)
 }
 
 void
-GpsTranslationUnit::exportStats(StatSet& out) const
+GpsTranslationUnit::declareStats(StatVisitor& v) const
 {
-    tlb_->exportStats(out);
-    out.set(name() + ".walks", static_cast<double>(walks_));
-}
-
-void
-GpsTranslationUnit::registerMetrics(MetricRegistry& reg) const
-{
-    tlb_->registerMetrics(reg);
-    reg.counter(name() + ".walks", "events",
-                [this] { return static_cast<double>(walks_); });
+    v.visit(*tlb_);
+    v.counter("walks", "events", walks_);
 }
 
 } // namespace gps

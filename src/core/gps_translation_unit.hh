@@ -40,9 +40,6 @@ class GpsTranslationUnit : public SimObject
 
     std::uint64_t walks() const { return walks_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-
     /** Serialize the GPS-TLB contents and the walk counter. */
     void
     saveState(snapshot::Serializer& out) const
@@ -62,6 +59,8 @@ class GpsTranslationUnit : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     const GpsPageTable* table_;
     std::unique_ptr<Tlb> tlb_;
     std::uint64_t walks_ = 0;

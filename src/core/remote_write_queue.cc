@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "obs/causal/causal.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 
@@ -178,53 +177,17 @@ RemoteWriteQueue::sramBytes() const
 }
 
 void
-RemoteWriteQueue::exportStats(StatSet& out) const
+RemoteWriteQueue::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".inserts", static_cast<double>(inserts_));
-    out.set(name() + ".coalesced", static_cast<double>(coalesced_));
-    out.set(name() + ".drains", static_cast<double>(drains_));
-    out.set(name() + ".atomic_bypass",
-            static_cast<double>(atomicBypass_));
-    out.set(name() + ".watermark_drains",
-            static_cast<double>(watermarkDrains_));
-    out.set(name() + ".stall_drains", static_cast<double>(stallDrains_));
-    out.set(name() + ".forward_hits", static_cast<double>(forwardHits_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
-RemoteWriteQueue::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "inserts", "entries",
-                [this] { return static_cast<double>(inserts_); });
-    reg.counter(p + "coalesced", "stores",
-                [this] { return static_cast<double>(coalesced_); });
-    reg.counter(p + "drains", "entries",
-                [this] { return static_cast<double>(drains_); });
-    reg.counter(p + "atomic_bypass", "ops",
-                [this] { return static_cast<double>(atomicBypass_); });
-    reg.counter(p + "watermark_drains", "entries",
-                [this] { return static_cast<double>(watermarkDrains_); });
-    reg.counter(p + "stall_drains", "entries",
-                [this] { return static_cast<double>(stallDrains_); });
-    reg.counter(p + "forward_hits", "loads",
-                [this] { return static_cast<double>(forwardHits_); });
-    reg.gauge(p + "occupancy", "units",
-              [this] { return static_cast<double>(occupancy_); });
-    reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-RemoteWriteQueue::resetStats()
-{
-    inserts_ = 0;
-    coalesced_ = 0;
-    drains_ = 0;
-    atomicBypass_ = 0;
-    watermarkDrains_ = 0;
-    forwardHits_ = 0;
-    stallDrains_ = 0;
+    v.counter("inserts", "entries", inserts_);
+    v.counter("coalesced", "stores", coalesced_);
+    v.counter("drains", "entries", drains_);
+    v.counter("atomic_bypass", "ops", atomicBypass_);
+    v.counter("watermark_drains", "entries", watermarkDrains_);
+    v.counter("stall_drains", "entries", stallDrains_);
+    v.counter("forward_hits", "loads", forwardHits_);
+    v.gauge("occupancy", "units", occupancy_, StatScope::MetricsOnly);
+    v.gauge("hit_rate", "ratio", [this] { return hitRate(); });
 }
 
 } // namespace gps

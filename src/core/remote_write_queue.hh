@@ -150,10 +150,6 @@ class RemoteWriteQueue : public SimObject
     /** SRAM footprint: 512 entries * 135 B = ~68 KB (Section 5.2). */
     std::uint64_t sramBytes() const;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats();
-
     /**
      * Serialize resident entries in FIFO order plus all counters; the
      * line index is rebuilt from the FIFO at restore.
@@ -213,6 +209,8 @@ class RemoteWriteQueue : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     void drainOne();
     void drainEntry(std::list<WqEntry>::iterator it);
     void drainToWatermark();

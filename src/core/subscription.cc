@@ -2,7 +2,6 @@
 
 #include "check/sink.hh"
 #include "common/logging.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 
 namespace gps
@@ -209,38 +208,16 @@ SubscriptionManager::refreshGpsBit(PageNum vpn)
 }
 
 void
-SubscriptionManager::exportStats(StatSet& out) const
+SubscriptionManager::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".subscribe_ops",
-            static_cast<double>(subscribeOps_));
-    out.set(name() + ".unsubscribe_ops",
-            static_cast<double>(unsubscribeOps_));
-    out.set(name() + ".oversubscription_rejects",
-            static_cast<double>(oversubscriptionRejects_));
-    out.set(name() + ".collapses", static_cast<double>(collapses_));
-    out.set(name() + ".swap_outs", static_cast<double>(swapOuts_));
-    if (replicaRetires_ > 0)
-        out.set(name() + ".replica_retires",
-                static_cast<double>(replicaRetires_));
-}
-
-void
-SubscriptionManager::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "subscribe_ops", "events",
-                [this] { return static_cast<double>(subscribeOps_); });
-    reg.counter(p + "unsubscribe_ops", "events",
-                [this] { return static_cast<double>(unsubscribeOps_); });
-    reg.counter(p + "oversubscription_rejects", "events", [this] {
-        return static_cast<double>(oversubscriptionRejects_);
-    });
-    reg.counter(p + "collapses", "events",
-                [this] { return static_cast<double>(collapses_); });
-    reg.counter(p + "swap_outs", "events",
-                [this] { return static_cast<double>(swapOuts_); });
-    reg.counter(p + "replica_retires", "events",
-                [this] { return static_cast<double>(replicaRetires_); });
+    v.counter("subscribe_ops", "events", subscribeOps_);
+    v.counter("unsubscribe_ops", "events", unsubscribeOps_);
+    v.counter("oversubscription_rejects", "events",
+              oversubscriptionRejects_);
+    v.counter("collapses", "events", collapses_);
+    v.counter("swap_outs", "events", swapOuts_);
+    v.counter("replica_retires", "events", replicaRetires_,
+              StatScope::NonzeroStat);
 }
 
 } // namespace gps

@@ -113,9 +113,6 @@ class SubscriptionManager : public SimObject
     std::uint64_t subscribeOps() const { return subscribeOps_; }
     std::uint64_t unsubscribeOps() const { return unsubscribeOps_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-
     /**
      * Serialize the op counters. The subscription state itself lives
      * in the driver page state and the GPS page table, both covered by
@@ -147,6 +144,8 @@ class SubscriptionManager : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     /** Keep PageState and conventional/GPS page tables consistent. */
     void refreshGpsBit(PageNum vpn);
 

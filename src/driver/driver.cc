@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "obs/causal/causal.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 
@@ -277,31 +276,15 @@ Driver::migratePage(PageNum vpn, GpuId to, KernelCounters& counters,
 }
 
 void
-Driver::exportStats(StatSet& out) const
+Driver::declareStats(StatVisitor& v) const
 {
-    out.set("driver.pages", static_cast<double>(pages_.pages()));
-    out.set("driver.migrations", static_cast<double>(migrations_));
-    out.set("driver.shootdown_rounds",
-            static_cast<double>(shootdownRounds_));
-    out.set("driver.reclaims", static_cast<double>(reclaims_));
+    v.gauge("pages", "pages",
+            [this] { return static_cast<double>(pages_.pages()); });
+    v.counter("migrations", "pages", migrations_);
+    v.counter("shootdown_rounds", "rounds", shootdownRounds_);
+    v.counter("reclaims", "frames", reclaims_);
     for (const auto& pt : pageTables_)
-        pt->exportStats(out);
-}
-
-void
-Driver::registerMetrics(MetricRegistry& reg) const
-{
-    reg.gauge("driver.pages", "pages",
-              [this] { return static_cast<double>(pages_.pages()); });
-    reg.counter("driver.migrations", "pages",
-                [this] { return static_cast<double>(migrations_); });
-    reg.counter("driver.shootdown_rounds", "rounds", [this] {
-        return static_cast<double>(shootdownRounds_);
-    });
-    reg.counter("driver.reclaims", "frames",
-                [this] { return static_cast<double>(reclaims_); });
-    for (const auto& pt : pageTables_)
-        pt->registerMetrics(reg);
+        v.visit(*pt);
 }
 
 void

@@ -158,9 +158,6 @@ class Driver : public SimObject
             fn(vpn);
     }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-
     /**
      * Serialize per-GPU page tables, the dense page-state store, and
      * the driver's own counters. The reclaim hook is reinstalled by its
@@ -172,6 +169,8 @@ class Driver : public SimObject
     void restoreState(snapshot::Deserializer& in);
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     const Region& allocCommon(std::uint64_t size, MemKind kind,
                               std::string label, GpuId home, bool manual);
 

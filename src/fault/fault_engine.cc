@@ -100,29 +100,12 @@ FaultEngine::apply(const FaultEvent& ev, Paradigm& paradigm)
 void
 FaultEngine::registerMetrics(MetricRegistry& reg) const
 {
-    const FaultReport& r = report_;
-    reg.counter("fault.injected", "events",
-                [&r] { return static_cast<double>(r.faultsInjected); });
-    reg.counter("fault.links_down", "links",
-                [&r] { return static_cast<double>(r.linksDown); });
-    reg.counter("fault.links_degraded", "links",
-                [&r] { return static_cast<double>(r.linksDegraded); });
-    reg.counter("fault.links_restored", "links",
-                [&r] { return static_cast<double>(r.linksRestored); });
-    reg.counter("fault.reroutes", "flows",
-                [&r] { return static_cast<double>(r.reroutes); });
-    reg.counter("fault.rerouted_bytes", "bytes",
-                [&r] { return static_cast<double>(r.reroutedBytes); });
-    reg.counter("fault.pcie_fallbacks", "flows",
-                [&r] { return static_cast<double>(r.pcieFallbacks); });
-    reg.counter("fault.pages_retired", "pages",
-                [&r] { return static_cast<double>(r.pagesRetired); });
-    reg.counter("fault.replicas_lost", "pages",
-                [&r] { return static_cast<double>(r.replicasLost); });
-    reg.counter("fault.resubscribes", "pages",
-                [&r] { return static_cast<double>(r.resubscribes); });
-    reg.counter("fault.wq_saturations", "events",
-                [&r] { return static_cast<double>(r.wqSaturations); });
+    for (const auto& f : faultReportFields)
+        if (f.metricUnit != nullptr)
+            reg.counter(std::string("fault.") + f.name, f.metricUnit,
+                        [this, member = f.member] {
+                            return static_cast<double>(report_.*member);
+                        });
 }
 
 } // namespace gps

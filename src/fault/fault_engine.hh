@@ -53,7 +53,10 @@ class FaultEngine
     Rng& rng() { return rng_; }
     const FaultPlan& plan() const { return plan_; }
 
-    /** Register the FaultReport counters under the "fault." prefix. */
+    /**
+     * Register the FaultReport counters that have a metric unit under
+     * the "fault." prefix.
+     */
     void registerMetrics(MetricRegistry& reg) const;
 
     /**
@@ -69,21 +72,8 @@ class FaultEngine
         rng_.saveState(words);
         for (const std::uint64_t w : words)
             out.u64(w);
-        out.u64(report_.faultsInjected);
-        out.u64(report_.linksDown);
-        out.u64(report_.linksDegraded);
-        out.u64(report_.linksRestored);
-        out.u64(report_.reroutes);
-        out.u64(report_.reroutedBytes);
-        out.u64(report_.pcieFallbacks);
-        out.u64(report_.pcieFallbackBytes);
-        out.u64(report_.pagesRetired);
-        out.u64(report_.replicasLost);
-        out.u64(report_.pagesDegraded);
-        out.u64(report_.resubscribes);
-        out.u64(report_.wqSaturations);
-        out.u64(report_.wqSaturatedDrains);
-        out.u64(report_.stallTicks);
+        for (const auto& f : faultReportFields)
+            out.u64(report_.*f.member);
         out.u64(next_);
     }
 
@@ -96,21 +86,8 @@ class FaultEngine
         for (std::uint64_t& w : words)
             w = in.u64();
         rng_.restoreState(words);
-        report_.faultsInjected = in.u64();
-        report_.linksDown = in.u64();
-        report_.linksDegraded = in.u64();
-        report_.linksRestored = in.u64();
-        report_.reroutes = in.u64();
-        report_.reroutedBytes = in.u64();
-        report_.pcieFallbacks = in.u64();
-        report_.pcieFallbackBytes = in.u64();
-        report_.pagesRetired = in.u64();
-        report_.replicasLost = in.u64();
-        report_.pagesDegraded = in.u64();
-        report_.resubscribes = in.u64();
-        report_.wqSaturations = in.u64();
-        report_.wqSaturatedDrains = in.u64();
-        report_.stallTicks = in.u64();
+        for (const auto& f : faultReportFields)
+            report_.*f.member = in.u64();
         next_ = in.u64();
         if (next_ > plan_.events.size())
             throw snapshot::SnapshotError(

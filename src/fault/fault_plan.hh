@@ -12,10 +12,12 @@
 #ifndef GPS_FAULT_FAULT_PLAN_HH
 #define GPS_FAULT_FAULT_PLAN_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/counter_fields.hh"
 #include "common/types.hh"
 
 namespace gps
@@ -66,8 +68,35 @@ struct FaultReport {
     std::uint64_t wqSaturatedDrains = 0;
     Tick stallTicks = 0;
 
+    /** Set every counter into @p out as "faults.<field name>". */
     void exportStats(StatSet& out) const;
 };
+
+/**
+ * Every FaultReport member once, in snapshot order. The fields with a
+ * metric unit are registered by FaultEngine::registerMetrics.
+ */
+inline constexpr std::array<CounterField<FaultReport>, 15>
+    faultReportFields = {{
+        {&FaultReport::faultsInjected, "injected", "events"},
+        {&FaultReport::linksDown, "links_down", "links"},
+        {&FaultReport::linksDegraded, "links_degraded", "links"},
+        {&FaultReport::linksRestored, "links_restored", "links"},
+        {&FaultReport::reroutes, "reroutes", "flows"},
+        {&FaultReport::reroutedBytes, "rerouted_bytes", "bytes"},
+        {&FaultReport::pcieFallbacks, "pcie_fallbacks", "flows"},
+        {&FaultReport::pcieFallbackBytes, "pcie_fallback_bytes"},
+        {&FaultReport::pagesRetired, "pages_retired", "pages"},
+        {&FaultReport::replicasLost, "replicas_lost", "pages"},
+        {&FaultReport::pagesDegraded, "pages_degraded"},
+        {&FaultReport::resubscribes, "resubscribes", "pages"},
+        {&FaultReport::wqSaturations, "wq_saturations", "events"},
+        {&FaultReport::wqSaturatedDrains, "wq_saturated_drains"},
+        {&FaultReport::stallTicks, "stall_ticks"},
+    }};
+
+static_assert(coversRecord(faultReportFields),
+              "list every FaultReport member in faultReportFields");
 
 /** A parsed, time-sorted schedule of faults plus injection policy. */
 struct FaultPlan {

@@ -5,84 +5,15 @@
 
 #include "common/logging.hh"
 #include "common/units.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
 
 void
-KernelCounters::merge(const KernelCounters& other)
-{
-    computeInstrs += other.computeInstrs;
-    accesses += other.accesses;
-    loads += other.loads;
-    stores += other.stores;
-    atomics += other.atomics;
-    l2Hits += other.l2Hits;
-    l2Misses += other.l2Misses;
-    dramBytes += other.dramBytes;
-    remoteLoads += other.remoteLoads;
-    remoteLoadBytes += other.remoteLoadBytes;
-    remoteAtomics += other.remoteAtomics;
-    pushedStoreBytes += other.pushedStoreBytes;
-    tlbMisses += other.tlbMisses;
-    pageFaults += other.pageFaults;
-    pageMigrations += other.pageMigrations;
-    migrationBytes += other.migrationBytes;
-    tlbShootdowns += other.tlbShootdowns;
-    wqInserts += other.wqInserts;
-    wqCoalesced += other.wqCoalesced;
-    wqDrains += other.wqDrains;
-    wqAtomicBypass += other.wqAtomicBypass;
-    smCoalesced += other.smCoalesced;
-    gpsTlbHits += other.gpsTlbHits;
-    gpsTlbMisses += other.gpsTlbMisses;
-    sysCollapses += other.sysCollapses;
-    wqStallDrains += other.wqStallDrains;
-    wqStallTicks += other.wqStallTicks;
-}
-
-void
 KernelCounters::exportStats(StatSet& out, const std::string& prefix) const
 {
-    out.add(prefix + ".compute_instrs",
-            static_cast<double>(computeInstrs));
-    out.add(prefix + ".accesses", static_cast<double>(accesses));
-    out.add(prefix + ".loads", static_cast<double>(loads));
-    out.add(prefix + ".stores", static_cast<double>(stores));
-    out.add(prefix + ".atomics", static_cast<double>(atomics));
-    out.add(prefix + ".l2_hits", static_cast<double>(l2Hits));
-    out.add(prefix + ".l2_misses", static_cast<double>(l2Misses));
-    out.add(prefix + ".dram_bytes", static_cast<double>(dramBytes));
-    out.add(prefix + ".remote_loads", static_cast<double>(remoteLoads));
-    out.add(prefix + ".remote_load_bytes",
-            static_cast<double>(remoteLoadBytes));
-    out.add(prefix + ".remote_atomics",
-            static_cast<double>(remoteAtomics));
-    out.add(prefix + ".pushed_store_bytes",
-            static_cast<double>(pushedStoreBytes));
-    out.add(prefix + ".tlb_misses", static_cast<double>(tlbMisses));
-    out.add(prefix + ".page_faults", static_cast<double>(pageFaults));
-    out.add(prefix + ".page_migrations",
-            static_cast<double>(pageMigrations));
-    out.add(prefix + ".migration_bytes",
-            static_cast<double>(migrationBytes));
-    out.add(prefix + ".tlb_shootdowns",
-            static_cast<double>(tlbShootdowns));
-    out.add(prefix + ".wq_inserts", static_cast<double>(wqInserts));
-    out.add(prefix + ".wq_coalesced", static_cast<double>(wqCoalesced));
-    out.add(prefix + ".wq_drains", static_cast<double>(wqDrains));
-    out.add(prefix + ".wq_atomic_bypass",
-            static_cast<double>(wqAtomicBypass));
-    out.add(prefix + ".sm_coalesced", static_cast<double>(smCoalesced));
-    out.add(prefix + ".gps_tlb_hits", static_cast<double>(gpsTlbHits));
-    out.add(prefix + ".gps_tlb_misses",
-            static_cast<double>(gpsTlbMisses));
-    out.add(prefix + ".sys_collapses", static_cast<double>(sysCollapses));
-    out.add(prefix + ".wq_stall_drains",
-            static_cast<double>(wqStallDrains));
-    out.add(prefix + ".wq_stall_ticks",
-            static_cast<double>(wqStallTicks));
+    for (const auto& f : kernelCounterFields)
+        out.add(prefix + '.' + f.name, static_cast<double>(this->*f.member));
 }
 
 GpuModel::GpuModel(GpuId id, const GpuConfig& config, PageGeometry geometry)
@@ -210,29 +141,12 @@ GpuModel::kernelTimeBreakdown(const KernelCounters& counters,
 }
 
 void
-GpuModel::exportStats(StatSet& out) const
+GpuModel::declareStats(StatVisitor& v) const
 {
-    l2_->exportStats(out);
-    tlb_->exportStats(out);
-    coalescer_->exportStats(out);
-    memory_->exportStats(out);
-}
-
-void
-GpuModel::registerMetrics(MetricRegistry& reg) const
-{
-    l2_->registerMetrics(reg);
-    tlb_->registerMetrics(reg);
-    coalescer_->registerMetrics(reg);
-    memory_->registerMetrics(reg);
-}
-
-void
-GpuModel::resetStats()
-{
-    l2_->resetStats();
-    tlb_->resetStats();
-    coalescer_->resetStats();
+    v.visit(*l2_);
+    v.visit(*tlb_);
+    v.visit(*coalescer_);
+    v.visit(*memory_);
 }
 
 } // namespace gps

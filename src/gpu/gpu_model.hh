@@ -110,10 +110,6 @@ class GpuModel : public SimObject
 
     const FaultTiming& faultTiming() const { return faultTiming_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /** Serialize L2, TLB, coalescer, and physical-memory state. */
     void
     saveState(snapshot::Serializer& out) const
@@ -141,6 +137,8 @@ class GpuModel : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     GpuId id_;
     GpuConfig config_;
     FaultTiming faultTiming_;

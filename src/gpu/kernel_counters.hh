@@ -7,8 +7,11 @@
 #ifndef GPS_GPU_KERNEL_COUNTERS_HH
 #define GPS_GPU_KERNEL_COUNTERS_HH
 
+#include <array>
 #include <cstdint>
+#include <string>
 
+#include "common/counter_fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -63,8 +66,52 @@ struct KernelCounters
     Tick wqStallTicks = 0;           ///< serialized SM stall time
 
     void merge(const KernelCounters& other);
+
+    /** Add every counter into @p out as "<prefix>.<field name>". */
     void exportStats(StatSet& out, const std::string& prefix) const;
 };
+
+/** Every KernelCounters member once, in snapshot order. */
+inline constexpr std::array<CounterField<KernelCounters>, 27>
+    kernelCounterFields = {{
+        {&KernelCounters::computeInstrs, "compute_instrs"},
+        {&KernelCounters::accesses, "accesses"},
+        {&KernelCounters::loads, "loads"},
+        {&KernelCounters::stores, "stores"},
+        {&KernelCounters::atomics, "atomics"},
+        {&KernelCounters::l2Hits, "l2_hits"},
+        {&KernelCounters::l2Misses, "l2_misses"},
+        {&KernelCounters::dramBytes, "dram_bytes"},
+        {&KernelCounters::remoteLoads, "remote_loads"},
+        {&KernelCounters::remoteLoadBytes, "remote_load_bytes"},
+        {&KernelCounters::remoteAtomics, "remote_atomics"},
+        {&KernelCounters::pushedStoreBytes, "pushed_store_bytes"},
+        {&KernelCounters::tlbMisses, "tlb_misses"},
+        {&KernelCounters::pageFaults, "page_faults"},
+        {&KernelCounters::pageMigrations, "page_migrations"},
+        {&KernelCounters::migrationBytes, "migration_bytes"},
+        {&KernelCounters::tlbShootdowns, "tlb_shootdowns"},
+        {&KernelCounters::wqInserts, "wq_inserts"},
+        {&KernelCounters::wqCoalesced, "wq_coalesced"},
+        {&KernelCounters::wqDrains, "wq_drains"},
+        {&KernelCounters::wqAtomicBypass, "wq_atomic_bypass"},
+        {&KernelCounters::smCoalesced, "sm_coalesced"},
+        {&KernelCounters::gpsTlbHits, "gps_tlb_hits"},
+        {&KernelCounters::gpsTlbMisses, "gps_tlb_misses"},
+        {&KernelCounters::sysCollapses, "sys_collapses"},
+        {&KernelCounters::wqStallDrains, "wq_stall_drains"},
+        {&KernelCounters::wqStallTicks, "wq_stall_ticks"},
+    }};
+
+static_assert(coversRecord(kernelCounterFields),
+              "list every KernelCounters member in kernelCounterFields");
+
+inline void
+KernelCounters::merge(const KernelCounters& other)
+{
+    for (const auto& f : kernelCounterFields)
+        this->*f.member += other.*f.member;
+}
 
 } // namespace gps
 

@@ -1,7 +1,6 @@
 #include "gpu/store_coalescer.hh"
 
 #include "common/logging.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -40,27 +39,10 @@ StoreCoalescer::reset()
 }
 
 void
-StoreCoalescer::exportStats(StatSet& out) const
+StoreCoalescer::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".absorbed", static_cast<double>(absorbed_));
-    out.set(name() + ".forwarded", static_cast<double>(forwarded_));
-}
-
-void
-StoreCoalescer::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "absorbed", "events",
-                [this] { return static_cast<double>(absorbed_); });
-    reg.counter(p + "forwarded", "events",
-                [this] { return static_cast<double>(forwarded_); });
-}
-
-void
-StoreCoalescer::resetStats()
-{
-    absorbed_ = 0;
-    forwarded_ = 0;
+    v.counter("absorbed", "events", absorbed_);
+    v.counter("forwarded", "events", forwarded_);
 }
 
 } // namespace gps

@@ -51,10 +51,6 @@ class StoreCoalescer : public SimObject
     std::uint64_t absorbed() const { return absorbed_; }
     std::uint64_t forwarded() const { return forwarded_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /** Serialize the resident lines and the counters. */
     void
     saveState(snapshot::Serializer& out) const
@@ -87,6 +83,8 @@ class StoreCoalescer : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     std::uint32_t depth_;
     std::uint32_t lineBytes_;
     std::vector<std::uint64_t> lines_; ///< circular buffer of line numbers

@@ -1,7 +1,6 @@
 #include "interconnect/link.hh"
 
 #include "common/units.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -15,27 +14,10 @@ Link::transferTime(std::uint64_t bytes) const
 }
 
 void
-Link::exportStats(StatSet& out) const
+Link::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".bytes", static_cast<double>(totalBytes_));
-    out.set(name() + ".busy_us", ticksToUs(busyTime_));
-}
-
-void
-Link::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "bytes", "bytes",
-                [this] { return static_cast<double>(totalBytes_); });
-    reg.counter(p + "busy_us", "us",
-                [this] { return ticksToUs(busyTime_); });
-}
-
-void
-Link::resetStats()
-{
-    totalBytes_ = 0;
-    busyTime_ = 0;
+    v.counter("bytes", "bytes", totalBytes_);
+    v.counter("busy_us", "us", [this] { return ticksToUs(busyTime_); });
 }
 
 } // namespace gps

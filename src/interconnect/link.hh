@@ -42,10 +42,6 @@ class Link : public SimObject
     std::uint64_t totalBytes() const { return totalBytes_; }
     Tick busyTime() const { return busyTime_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /** Serialize lifetime byte/busy accounting. */
     void
     saveState(snapshot::Serializer& out) const
@@ -63,6 +59,8 @@ class Link : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     const InterconnectSpec* spec_;
     std::uint64_t totalBytes_ = 0;
     Tick busyTime_ = 0;

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "interconnect/platforms.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 
@@ -187,47 +186,26 @@ NodeTopology::applyPhaseTraffic(const TrafficMatrix& traffic)
 }
 
 void
-NodeTopology::exportStats(StatSet& out) const
+NodeTopology::declareStats(StatVisitor& v) const
 {
-    Topology::exportStats(out);
-    out.set(name() + ".cross_node_bytes",
-            static_cast<double>(totalCrossNodeBytes()));
-    for (const auto& link : upEgress_)
-        link->exportStats(out);
-    for (const auto& link : upIngress_)
-        link->exportStats(out);
-}
-
-void
-NodeTopology::registerMetrics(MetricRegistry& reg) const
-{
-    Topology::registerMetrics(reg);
-    const std::string p = name() + '.';
-    reg.counter(p + "cross_node_bytes", "bytes", [this] {
+    Topology::declareStats(v);
+    v.counter("cross_node_bytes", "bytes", [this] {
         return static_cast<double>(totalCrossNodeBytes());
     });
-    reg.gauge(p + "uplink_faults", "uplinks", [this] {
-        std::size_t n = 0;
-        for (const PathState& st : uplinkFaults_)
-            if (st.health != PathHealth::Healthy)
-                ++n;
-        return static_cast<double>(n);
-    });
+    v.gauge(
+        "uplink_faults", "uplinks",
+        [this] {
+            std::size_t n = 0;
+            for (const PathState& st : uplinkFaults_)
+                if (st.health != PathHealth::Healthy)
+                    ++n;
+            return static_cast<double>(n);
+        },
+        StatScope::MetricsOnly);
     for (const auto& link : upEgress_)
-        link->registerMetrics(reg);
+        v.visit(*link);
     for (const auto& link : upIngress_)
-        link->registerMetrics(reg);
-}
-
-void
-NodeTopology::resetStats()
-{
-    Topology::resetStats();
-    std::fill(cross_.begin(), cross_.end(), 0);
-    for (auto& link : upEgress_)
-        link->resetStats();
-    for (auto& link : upIngress_)
-        link->resetStats();
+        v.visit(*link);
 }
 
 void

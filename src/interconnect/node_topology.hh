@@ -90,14 +90,12 @@ class NodeTopology : public Topology
     Tick ingressTime(const TrafficMatrix& traffic,
                      GpuId gpu) const override;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     void saveState(snapshot::Serializer& out) const override;
     void restoreState(snapshot::Deserializer& in) override;
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     /**
      * Time to move @p bytes over node @p node's uplink (one direction),
      * including the fabric's one-way latency once per non-empty

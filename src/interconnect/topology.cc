@@ -7,7 +7,6 @@
 #include "common/units.hh"
 #include "fault/fault_plan.hh"
 #include "obs/causal/causal.hh"
-#include "obs/metric_registry.hh"
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 
@@ -260,42 +259,17 @@ Topology::routeAroundFaults(TrafficMatrix& traffic,
 }
 
 void
-Topology::exportStats(StatSet& out) const
+Topology::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".total_bytes", static_cast<double>(totalBytes_));
-    out.set(name() + ".total_payload_bytes",
-            static_cast<double>(totalPayload_));
+    v.counter("total_bytes", "bytes", totalBytes_);
+    v.counter("total_payload_bytes", "bytes", totalPayload_);
+    v.gauge("path_faults", "paths",
+            [this] { return static_cast<double>(paths_.size()); },
+            StatScope::MetricsOnly);
     for (const auto& link : egress_)
-        link->exportStats(out);
+        v.visit(*link);
     for (const auto& link : ingress_)
-        link->exportStats(out);
-}
-
-void
-Topology::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "total_bytes", "bytes",
-                [this] { return static_cast<double>(totalBytes_); });
-    reg.counter(p + "total_payload_bytes", "bytes",
-                [this] { return static_cast<double>(totalPayload_); });
-    reg.gauge(p + "path_faults", "paths",
-              [this] { return static_cast<double>(paths_.size()); });
-    for (const auto& link : egress_)
-        link->registerMetrics(reg);
-    for (const auto& link : ingress_)
-        link->registerMetrics(reg);
-}
-
-void
-Topology::resetStats()
-{
-    totalBytes_ = 0;
-    totalPayload_ = 0;
-    for (auto& link : egress_)
-        link->resetStats();
-    for (auto& link : ingress_)
-        link->resetStats();
+        v.visit(*link);
 }
 
 } // namespace gps

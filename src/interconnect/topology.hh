@@ -205,10 +205,6 @@ class Topology : public SimObject
     void routeAroundFaults(TrafficMatrix& traffic,
                            FaultReport& report) const;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /**
      * Serialize link accounting, lifetime totals, and fault path state
      * (sorted by path key — the unordered map feeds only key-addressed
@@ -268,6 +264,8 @@ class Topology : public SimObject
     }
 
   protected:
+    void declareStats(StatVisitor& v) const override;
+
     /**
      * Validate a serialized PathHealth: a corrupt or hand-edited
      * snapshot must not resume with an out-of-range enum (every switch

@@ -42,11 +42,13 @@ PageTable::setGpsBit(PageNum vpn, bool value)
 }
 
 void
-PageTable::exportStats(StatSet& out) const
+PageTable::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".mappings", static_cast<double>(table_.size()));
-    out.set(name() + ".map_ops", static_cast<double>(mapOps_));
-    out.set(name() + ".unmap_ops", static_cast<double>(unmapOps_));
+    v.gauge("mappings", "pages",
+            [this] { return static_cast<double>(table_.size()); },
+            StatScope::StatsOnly);
+    v.counter("map_ops", "events", mapOps_, StatScope::StatsOnly);
+    v.counter("unmap_ops", "events", unmapOps_, StatScope::StatsOnly);
 }
 
 } // namespace gps

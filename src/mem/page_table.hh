@@ -69,8 +69,6 @@ class PageTable : public SimObject
 
     std::size_t size() const { return table_.size(); }
 
-    void exportStats(StatSet& out) const override;
-
     /**
      * Serialize every mapping in ascending VPN order (the unordered
      * map's iteration order must not leak into snapshot bytes) plus
@@ -118,6 +116,8 @@ class PageTable : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     std::unordered_map<PageNum, Pte> table_;
     std::uint64_t mapOps_ = 0;
     std::uint64_t unmapOps_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -80,30 +79,13 @@ PhysicalMemory::retireFrames(std::uint64_t count)
 }
 
 void
-PhysicalMemory::exportStats(StatSet& out) const
+PhysicalMemory::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".frames_in_use",
-            static_cast<double>(framesInUse_));
-    out.set(name() + ".frames_peak",
-            static_cast<double>(peakFramesInUse_));
-    out.set(name() + ".frames_total", static_cast<double>(totalFrames_));
-    if (framesRetired_ > 0)
-        out.set(name() + ".frames_retired",
-                static_cast<double>(framesRetired_));
-}
-
-void
-PhysicalMemory::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.gauge(p + "frames_in_use", "frames",
-              [this] { return static_cast<double>(framesInUse_); });
-    reg.gauge(p + "frames_peak", "frames",
-              [this] { return static_cast<double>(peakFramesInUse_); });
-    reg.gauge(p + "frames_total", "frames",
-              [this] { return static_cast<double>(totalFrames_); });
-    reg.counter(p + "frames_retired", "frames",
-                [this] { return static_cast<double>(framesRetired_); });
+    v.gauge("frames_in_use", "frames", framesInUse_);
+    v.gauge("frames_peak", "frames", peakFramesInUse_);
+    v.gauge("frames_total", "frames", totalFrames_);
+    v.counter("frames_retired", "frames", framesRetired_,
+              StatScope::NonzeroStat);
 }
 
 } // namespace gps

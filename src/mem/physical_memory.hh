@@ -75,9 +75,6 @@ class PhysicalMemory : public SimObject
 
     const PageGeometry& geometry() const { return geometry_; }
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-
     /**
      * Serialize the full allocator state: frame ledger, bump region,
      * free list, and allocation bitmap.
@@ -130,6 +127,8 @@ class PhysicalMemory : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     std::uint64_t capacityBytes_;
     PageGeometry geometry_;
     std::uint64_t totalFrames_;

@@ -1,7 +1,6 @@
 #include "mem/tlb.hh"
 
 #include "common/logging.hh"
-#include "obs/metric_registry.hh"
 
 namespace gps
 {
@@ -98,37 +97,13 @@ Tlb::hitRate() const
 }
 
 void
-Tlb::exportStats(StatSet& out) const
+Tlb::declareStats(StatVisitor& v) const
 {
-    out.set(name() + ".hits", static_cast<double>(hits_));
-    out.set(name() + ".misses", static_cast<double>(misses_));
-    out.set(name() + ".evictions", static_cast<double>(evictions_));
-    out.set(name() + ".shootdowns", static_cast<double>(shootdowns_));
-    out.set(name() + ".hit_rate", hitRate());
-}
-
-void
-Tlb::registerMetrics(MetricRegistry& reg) const
-{
-    const std::string p = name() + '.';
-    reg.counter(p + "hits", "events",
-                [this] { return static_cast<double>(hits_); });
-    reg.counter(p + "misses", "events",
-                [this] { return static_cast<double>(misses_); });
-    reg.counter(p + "evictions", "events",
-                [this] { return static_cast<double>(evictions_); });
-    reg.counter(p + "shootdowns", "events",
-                [this] { return static_cast<double>(shootdowns_); });
-    reg.gauge(p + "hit_rate", "ratio", [this] { return hitRate(); });
-}
-
-void
-Tlb::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    shootdowns_ = 0;
+    v.counter("hits", "events", hits_);
+    v.counter("misses", "events", misses_);
+    v.counter("evictions", "events", evictions_);
+    v.counter("shootdowns", "events", shootdowns_);
+    v.gauge("hit_rate", "ratio", [this] { return hitRate(); });
 }
 
 } // namespace gps

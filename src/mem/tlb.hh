@@ -58,10 +58,6 @@ class Tlb : public SimObject
     /** Hit fraction over all lookups (0 when never probed). */
     double hitRate() const;
 
-    void exportStats(StatSet& out) const override;
-    void registerMetrics(MetricRegistry& reg) const override;
-    void resetStats() override;
-
     /** Serialize every entry, the LRU clock, and the counters. */
     void
     saveState(snapshot::Serializer& out) const
@@ -102,6 +98,8 @@ class Tlb : public SimObject
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     struct Entry
     {
         PageNum vpn = 0;

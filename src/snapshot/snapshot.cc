@@ -43,65 +43,15 @@ parseDecimal(const std::string& text, std::uint64_t& out)
 void
 saveCounters(Serializer& out, const KernelCounters& c)
 {
-    out.u64(c.computeInstrs);
-    out.u64(c.accesses);
-    out.u64(c.loads);
-    out.u64(c.stores);
-    out.u64(c.atomics);
-    out.u64(c.l2Hits);
-    out.u64(c.l2Misses);
-    out.u64(c.dramBytes);
-    out.u64(c.remoteLoads);
-    out.u64(c.remoteLoadBytes);
-    out.u64(c.remoteAtomics);
-    out.u64(c.pushedStoreBytes);
-    out.u64(c.tlbMisses);
-    out.u64(c.pageFaults);
-    out.u64(c.pageMigrations);
-    out.u64(c.migrationBytes);
-    out.u64(c.tlbShootdowns);
-    out.u64(c.wqInserts);
-    out.u64(c.wqCoalesced);
-    out.u64(c.wqDrains);
-    out.u64(c.wqAtomicBypass);
-    out.u64(c.smCoalesced);
-    out.u64(c.gpsTlbHits);
-    out.u64(c.gpsTlbMisses);
-    out.u64(c.sysCollapses);
-    out.u64(c.wqStallDrains);
-    out.u64(c.wqStallTicks);
+    for (const auto& f : kernelCounterFields)
+        out.u64(c.*f.member);
 }
 
 void
 restoreCounters(Deserializer& in, KernelCounters& c)
 {
-    c.computeInstrs = in.u64();
-    c.accesses = in.u64();
-    c.loads = in.u64();
-    c.stores = in.u64();
-    c.atomics = in.u64();
-    c.l2Hits = in.u64();
-    c.l2Misses = in.u64();
-    c.dramBytes = in.u64();
-    c.remoteLoads = in.u64();
-    c.remoteLoadBytes = in.u64();
-    c.remoteAtomics = in.u64();
-    c.pushedStoreBytes = in.u64();
-    c.tlbMisses = in.u64();
-    c.pageFaults = in.u64();
-    c.pageMigrations = in.u64();
-    c.migrationBytes = in.u64();
-    c.tlbShootdowns = in.u64();
-    c.wqInserts = in.u64();
-    c.wqCoalesced = in.u64();
-    c.wqDrains = in.u64();
-    c.wqAtomicBypass = in.u64();
-    c.smCoalesced = in.u64();
-    c.gpsTlbHits = in.u64();
-    c.gpsTlbMisses = in.u64();
-    c.sysCollapses = in.u64();
-    c.wqStallDrains = in.u64();
-    c.wqStallTicks = in.u64();
+    for (const auto& f : kernelCounterFields)
+        c.*f.member = in.u64();
 }
 
 void

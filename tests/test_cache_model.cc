@@ -133,7 +133,6 @@ TEST_P(CacheCapacity, SequentialWorkingSetWithinCapacityAllHits)
     CacheModel cache("c", capacity, 128, ways);
     for (Addr a = 0; a < capacity; a += 128)
         cache.access(a, false);
-    cache.resetStats();
     for (Addr a = 0; a < capacity; a += 128)
         ASSERT_TRUE(cache.access(a, false).hit) << "addr " << a;
 }
@@ -144,7 +143,6 @@ TEST_P(CacheCapacity, DoubleCapacityStreamEvicts)
     CacheModel cache("c", capacity, 128, ways);
     for (Addr a = 0; a < 2 * capacity; a += 128)
         cache.access(a, false);
-    cache.resetStats();
     std::uint64_t hits = 0;
     for (Addr a = 0; a < 2 * capacity; a += 128)
         hits += cache.access(a, false).hit ? 1 : 0;
@@ -341,7 +339,7 @@ expectSameCounters(const CacheModel& cache, const RefCache& ref,
                    std::size_t op)
 {
     StatSet stats;
-    cache.exportStats(stats);
+    StatWriter(stats).visit(cache);
     EXPECT_EQ(cache.hits(), ref.hits) << "op " << op;
     EXPECT_EQ(cache.misses(), ref.misses) << "op " << op;
     EXPECT_EQ(stats.get("l2.evictions"), static_cast<double>(ref.evictions))

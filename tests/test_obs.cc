@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/result_export.hh"
@@ -209,8 +212,8 @@ TEST(Observability, MetricsMatchTheStatSet)
     EXPECT_FALSE(result.obs->hasTimeline);
     EXPECT_FALSE(result.obs->finals.empty());
 
-    // Spot-check that the registry reads the same counters exportStats
-    // dumps, across all instrumented layers.
+    // Spot-check that the registry holds the same counters as
+    // RunResult::stats, across all instrumented layers.
     for (const std::string name :
          {"gpu0.l2.hits", "gpu1.tlb.misses", "interconnect.total_bytes",
           "gpu0.remote_write_queue.drains", "driver.migrations",
@@ -224,6 +227,111 @@ TEST(Observability, MetricsMatchTheStatSet)
         }
         EXPECT_TRUE(found) << name;
     }
+}
+
+/** Names a component declares for one of the two outputs only. */
+bool
+metricsOnlyName(std::string_view name)
+{
+    return name.ends_with(".remote_write_queue.occupancy") ||
+           name == "interconnect.path_faults" ||
+           name == "interconnect.uplink_faults";
+}
+
+bool
+statsOnlyName(std::string_view name)
+{
+    return name.find(".page_table.") != std::string_view::npos ||
+           name.starts_with("access_tracker.") ||
+           name == "gps_page_table.entries";
+}
+
+/** In RunResult::stats only once nonzero; always a metric. */
+bool
+nonzeroStatName(std::string_view name)
+{
+    return name.ends_with(".dram.frames_retired") ||
+           name == "subscription_manager.replica_retires";
+}
+
+TEST(Observability, StatsAndMetricsAgree)
+{
+    struct Case
+    {
+        const char* app;
+        ParadigmKind paradigm;
+        std::size_t nodes;
+        std::vector<std::string> faults;
+    };
+    const std::vector<std::string> degraded = {"link:degrade@0:0-1:0.5",
+                                               "wq:saturate@0:2"};
+    std::vector<Case> cases;
+    for (const ParadigmKind paradigm :
+         {ParadigmKind::Gps, ParadigmKind::Memcpy, ParadigmKind::Um}) {
+        cases.push_back({"Jacobi", paradigm, 2, {}});
+        cases.push_back({"Jacobi", paradigm, 2, degraded});
+    }
+    cases.push_back(
+        {"Pagerank", ParadigmKind::Gps, 1, {"page:retire@0:gpu1:16"}});
+
+    // Every one-sided name seen, to check each declared exception shows.
+    std::set<std::string> one_sided;
+    bool retired_in_both = false;
+    for (const Case& c : cases) {
+        RunConfig config;
+        config.system.numGpus = 4;
+        config.system.numNodes = c.nodes;
+        config.scale = 0.0625;
+        config.paradigm = c.paradigm;
+        config.obs.metrics = true;
+        for (const std::string& spec : c.faults)
+            config.faultPlan.addSpec(spec);
+        config.faultPlan.sort();
+        const RunResult result = runWorkload(c.app, config);
+        ASSERT_NE(result.obs, nullptr);
+        const std::string label =
+            std::string(c.app) + "/" + to_string(c.paradigm) + " " +
+            std::to_string(c.faults.size()) + " faults";
+
+        std::map<std::string, double> metrics;
+        for (const MetricValue& m : result.obs->finals)
+            metrics.emplace(m.name, m.value);
+        for (const auto& [name, value] : metrics) {
+            // The FaultEngine's counters are not a component's.
+            if (name.starts_with("fault."))
+                continue;
+            if (result.stats.has(name)) {
+                EXPECT_EQ(value, result.stats.get(name))
+                    << label << ": " << name;
+                retired_in_both = retired_in_both ||
+                                  nonzeroStatName(name);
+                continue;
+            }
+            one_sided.insert(name);
+            if (nonzeroStatName(name))
+                EXPECT_EQ(value, 0.0) << label << ": " << name;
+            else
+                EXPECT_TRUE(metricsOnlyName(name))
+                    << label << ": metric without a stat: " << name;
+        }
+        for (const auto& [name, value] : result.stats.all()) {
+            // Run totals and the fault report are not a component's.
+            if (metrics.count(name) != 0 || name.starts_with("totals.") ||
+                name.starts_with("faults."))
+                continue;
+            one_sided.insert(name);
+            EXPECT_TRUE(statsOnlyName(name))
+                << label << ": stat without a metric: " << name;
+        }
+    }
+    EXPECT_TRUE(retired_in_both);
+    for (const std::string_view expected :
+         {"gpu0.remote_write_queue.occupancy", "interconnect.path_faults",
+          "interconnect.uplink_faults", "gpu0.page_table.map_ops",
+          "access_tracker.marks", "gps_page_table.entries",
+          "gpu0.dram.frames_retired",
+          "subscription_manager.replica_retires"})
+        EXPECT_EQ(one_sided.count(std::string(expected)), 1u) << expected;
 }
 
 TEST(Observability, SamplingProducesMonotonicSeries)

@@ -82,7 +82,7 @@ TEST(PageTable, StatsCountOps)
     table.map(2, Pte{});
     table.unmap(1);
     StatSet stats;
-    table.exportStats(stats);
+    StatWriter(stats).visit(table);
     EXPECT_DOUBLE_EQ(stats.get("pt.map_ops"), 2.0);
     EXPECT_DOUBLE_EQ(stats.get("pt.unmap_ops"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("pt.mappings"), 1.0);

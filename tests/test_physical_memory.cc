@@ -84,7 +84,7 @@ TEST(PhysicalMemory, StatsTrackPeakUsage)
     mem.freeFrame(a);
     mem.freeFrame(b);
     StatSet stats;
-    mem.exportStats(stats);
+    StatWriter(stats).visit(mem);
     EXPECT_DOUBLE_EQ(stats.get("mem.frames_peak"), 2.0);
     EXPECT_DOUBLE_EQ(stats.get("mem.frames_in_use"), 0.0);
 }

@@ -247,7 +247,7 @@ TEST_F(WqTest, ForwardHitsCountAndExport)
     queue.noteForwardHit();
     EXPECT_EQ(queue.forwardHits(), 2u);
     StatSet stats;
-    queue.exportStats(stats);
+    StatWriter(stats).visit(queue);
     EXPECT_DOUBLE_EQ(stats.get("wq.forward_hits"), 2.0);
 }
 

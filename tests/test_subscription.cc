@@ -261,7 +261,7 @@ TEST_F(SubscriptionTest, StatsCountOperations)
     subs->subscribe(vpn, 2);
     subs->unsubscribe(vpn, 1);
     StatSet stats;
-    subs->exportStats(stats);
+    StatWriter(stats).visit(*subs);
     EXPECT_DOUBLE_EQ(stats.get("subscription_manager.subscribe_ops"),
                      2.0);
     EXPECT_DOUBLE_EQ(stats.get("subscription_manager.unsubscribe_ops"),
