@@ -13,6 +13,7 @@
 #include "api/result_export.hh"
 #include "api/runner.hh"
 #include "common/crc32.hh"
+#include "obs/observability.hh"
 
 namespace gps
 {
@@ -190,6 +191,92 @@ TEST(EndToEndPins, AlsGpsSixteenGpusIsPinned)
     const RunResult nodes =
         runWorkload("ALS", pinnedConfig(ParadigmKind::Gps, 2));
     EXPECT_EQ(crc32Of(resultToJson(nodes, true)), 0x1fe6a26au);
+}
+
+/**
+ * Capture @p app under @p config at @p at, then restore from the blob.
+ * Returns the snapshot bytes; the restored run must reproduce the
+ * uninterrupted run's result JSON and, when observability is on, its
+ * metrics, timeline and causal outputs byte for byte.
+ */
+std::string
+captureAndRestore(const std::string& app, RunConfig config,
+                  snapshot::SnapshotPoint at)
+{
+    config.snapshotAt = at;
+    config.snapshotSink = std::make_shared<std::string>();
+    const RunResult cold = runWorkload(app, config);
+    const std::shared_ptr<std::string> blob = config.snapshotSink;
+    EXPECT_FALSE(blob->empty()) << app;
+
+    config.snapshotAt = {};
+    config.snapshotSink = nullptr;
+    config.restoreBlob = blob;
+    const RunResult restored = runWorkload(app, config);
+    EXPECT_EQ(resultToJson(restored, true), resultToJson(cold, true))
+        << app;
+    if (cold.obs != nullptr) {
+        EXPECT_NE(restored.obs, nullptr);
+        if (restored.obs != nullptr) {
+            EXPECT_EQ(metricsToJson(*restored.obs),
+                      metricsToJson(*cold.obs));
+            EXPECT_EQ(timelineToJson(*restored.obs),
+                      timelineToJson(*cold.obs));
+            EXPECT_EQ(causalToJson(restored.obs->causal),
+                      causalToJson(cold.obs->causal));
+        }
+    }
+    return *blob;
+}
+
+/**
+ * GPSSNAP pins for the state the Jacobi/Memcpy pin never reaches: the
+ * two-node topology, the fault engine and its RNG, the GPS table,
+ * subscriptions, tracker, write queues, GPS-TUs and the degraded and
+ * stall ledgers (ALS/GPS with faults), the sampler, timeline and causal
+ * recorders (Jacobi/GPS observed), and the UM and RDL dirty-page sets.
+ */
+TEST(EndToEndPins, FaultedTwoNodeAlsGpsSnapshotIsPinned)
+{
+    RunConfig config = pinnedConfig(ParadigmKind::Gps, 2);
+    config.scale = 0.125;
+    config.faultPlan.addSpec("link:degrade@0:0-1:0.5");
+    config.faultPlan.addSpec("wq:saturate@0:2");
+    config.faultPlan.addSpec("page:retire@0:gpu3:16");
+    config.faultPlan.sort();
+    const std::string blob =
+        captureAndRestore("ALS", config, {snapshot::AtKind::Profile, 0});
+    EXPECT_EQ(crc32Of(blob), 0x6c54aee3u);
+}
+
+TEST(EndToEndPins, ObservedJacobiGpsSnapshotIsPinned)
+{
+    RunConfig config;
+    config.system.numGpus = 4;
+    config.scale = 0.125;
+    config.paradigm = ParadigmKind::Gps;
+    config.obs.metrics = true;
+    config.obs.sampleEvery = 1000000;
+    config.obs.timeline = true;
+    config.obs.causal = true;
+    const std::string blob = captureAndRestore(
+        "Jacobi", config, {snapshot::AtKind::Phase, 3});
+    EXPECT_EQ(crc32Of(blob), 0x7a69ba1eu);
+}
+
+TEST(EndToEndPins, UmAndRdlSnapshotsArePinned)
+{
+    RunConfig config;
+    config.system.numGpus = 4;
+    config.scale = 0.125;
+    config.paradigm = ParadigmKind::Um;
+    EXPECT_EQ(crc32Of(captureAndRestore("Pagerank", config,
+                                        {snapshot::AtKind::Phase, 1})),
+              0xca7b7ffbu);
+    config.paradigm = ParadigmKind::Rdl;
+    EXPECT_EQ(crc32Of(captureAndRestore("SSSP", config,
+                                        {snapshot::AtKind::Phase, 1})),
+              0x72d207f3u);
 }
 
 } // namespace
