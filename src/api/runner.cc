@@ -178,6 +178,14 @@ Runner::run(Workload& workload)
                 "run");
 
         const snapshot::RunnerProgress& prog = snap->progress;
+        // Checked before the iteration() replay below, which a corrupt
+        // resume iteration would otherwise run for up to 2^64 steps.
+        if (prog.resumeIter >= max_iters ||
+            prog.iterTime.size() != prog.resumeIter ||
+            prog.iterBytes.size() != prog.resumeIter)
+            throw snapshot::SnapshotError(
+                "snapshot loop position is inconsistent with the "
+                "workload");
         start_iter = static_cast<std::size_t>(prog.resumeIter);
         resume_phase = static_cast<std::size_t>(prog.resumePhase);
         for (std::size_t i = 0; i < start_iter; ++i)
@@ -207,7 +215,8 @@ Runner::run(Workload& workload)
                     "snapshot carries observability state but this "
                     "run has observability off");
             snapshot::Deserializer obs_in(prog.obsState);
-            obs->restoreState(obs_in);
+            snapshot::StateIO io(obs_in);
+            obs->transferState(io);
         } else if (obs != nullptr) {
             gps_warn("resuming an observability run from a snapshot "
                      "without collector state; outputs cover only the "
@@ -265,11 +274,13 @@ Runner::run(Workload& workload)
         if (obs != nullptr) {
             prog.hasObs = true;
             snapshot::Serializer obs_out;
-            obs->saveState(obs_out);
+            snapshot::StateIO io(obs_out);
+            obs->transferState(io);
             prog.obsState = obs_out.bytes();
         }
         const std::string bytes = snapshot::encodeSnapshot(
-            system, *paradigm, fault_engine.get(), meta, prog);
+            system, *paradigm, fault_engine.get(), std::move(meta),
+            std::move(prog));
         if (!config_.snapshotOut.empty())
             snapshot::writeSnapshotFile(config_.snapshotOut, bytes);
         if (config_.snapshotSink != nullptr)

@@ -251,50 +251,33 @@ CacheModel::rebuildWindows()
 }
 
 void
-CacheModel::saveState(snapshot::Serializer& out) const
+CacheModel::transferState(snapshot::StateIO& io)
 {
-    out.section("cache");
-    out.u64(tags_.size());
-    for (std::size_t set = 0; set < sets_; ++set) {
-        const SetState& st = state_[set];
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            out.u64(tags_[set * ways_ + w]);
-            out.b((st.valid >> w) & 1);
-            out.b((st.dirty >> w) & 1);
-            out.u64(lastUse_[set * ways_ + w]);
-        }
-    }
-    out.u64(useClock_);
-    out.u64(hits_);
-    out.u64(misses_);
-    out.u64(evictions_);
-    out.u64(writebacks_);
-}
-
-void
-CacheModel::restoreState(snapshot::Deserializer& in)
-{
-    in.section("cache");
-    if (in.u64() != tags_.size())
-        throw snapshot::SnapshotError(
-            "snapshot cache geometry differs from the configured "
-            "cache");
+    io.section("cache");
+    io.expect(tags_.size(),
+              "snapshot cache geometry differs from the configured cache");
     for (std::size_t set = 0; set < sets_; ++set) {
         SetState& st = state_[set];
-        st = SetState{};
+        SetState loaded;
         for (std::uint32_t w = 0; w < ways_; ++w) {
-            tags_[set * ways_ + w] = in.u64();
-            st.valid |= static_cast<std::uint64_t>(in.b()) << w;
-            st.dirty |= static_cast<std::uint64_t>(in.b()) << w;
-            lastUse_[set * ways_ + w] = in.u64();
+            bool valid = (st.valid >> w) & 1;
+            bool dirty = (st.dirty >> w) & 1;
+            io.u64(tags_[set * ways_ + w]);
+            io.b(valid);
+            io.b(dirty);
+            io.u64(lastUse_[set * ways_ + w]);
+            loaded.valid |= static_cast<std::uint64_t>(valid) << w;
+            loaded.dirty |= static_cast<std::uint64_t>(dirty) << w;
         }
+        st = loaded;
     }
-    useClock_ = in.u64();
-    hits_ = in.u64();
-    misses_ = in.u64();
-    evictions_ = in.u64();
-    writebacks_ = in.u64();
-    rebuildWindows();
+    io.u64(useClock_);
+    io.u64(hits_);
+    io.u64(misses_);
+    io.u64(evictions_);
+    io.u64(writebacks_);
+    if (io.loading())
+        rebuildWindows();
 }
 
 double

@@ -71,14 +71,11 @@ class CacheModel : public SimObject
     double hitRate() const;
 
     /**
-     * Serialize every line (tag, valid, dirty, last use; invalidated
-     * lines keep their stale tag and dirty bit), the LRU clock, and the
-     * counters.
+     * Every line (tag, valid, dirty, last use; invalidated lines keep
+     * their stale tag and dirty bit), the LRU clock, and the counters;
+     * geometry must match this instance.
      */
-    void saveState(snapshot::Serializer& out) const;
-
-    /** Counterpart of saveState; geometry must match this instance. */
-    void restoreState(snapshot::Deserializer& in);
+    void transferState(snapshot::StateIO& io);
 
   private:
     void declareStats(StatVisitor& v) const override;

@@ -212,24 +212,16 @@ maskForEach(const GpuMask& mask, Fn&& fn)
     }
 }
 
-/** Serialize the mask as its four words, low to high. */
-template <typename Serializer>
+/** Snapshot transfer of the mask as its four words, low to high. */
+template <typename StateIO>
 void
-maskSave(Serializer& out, const GpuMask& mask)
+maskState(StateIO& io, GpuMask& mask)
 {
-    for (std::size_t i = 0; i < GpuMask::words; ++i)
-        out.u64(mask.word(i));
-}
-
-/** Counterpart of maskSave. */
-template <typename Deserializer>
-GpuMask
-maskLoad(Deserializer& in)
-{
-    GpuMask m;
-    for (std::size_t i = 0; i < GpuMask::words; ++i)
-        m.setWord(i, in.u64());
-    return m;
+    for (std::size_t i = 0; i < GpuMask::words; ++i) {
+        std::uint64_t word = mask.word(i);
+        io.u64(word);
+        mask.setWord(i, word);
+    }
 }
 
 } // namespace gps

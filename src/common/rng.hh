@@ -70,20 +70,13 @@ class Rng
     /** Bernoulli draw with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
-    /** The four raw state words (checkpoint serialization). */
+    /** The four raw state words (snapshot transfer). */
+    template <typename StateIO>
     void
-    saveState(std::uint64_t out[4]) const
+    transferState(StateIO& io)
     {
-        for (int i = 0; i < 4; ++i)
-            out[i] = state_[i];
-    }
-
-    /** Overwrite the state words (checkpoint restore). */
-    void
-    restoreState(const std::uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = in[i];
+        for (std::uint64_t& word : state_)
+            io.u64(word);
     }
 
     /**

@@ -9,7 +9,6 @@
 #ifndef GPS_CORE_ACCESS_TRACKER_HH
 #define GPS_CORE_ACCESS_TRACKER_HH
 
-#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
@@ -89,45 +88,22 @@ class AccessTracker : public SimObject
     std::uint64_t marks() const { return marks_; }
 
     /**
-     * Serialize the touched sets in ascending VPN order — the
-     * unordered sets feed only order-insensitive consumers
-     * (touchedMask), but snapshot bytes must not depend on hash
-     * iteration order.
+     * The touched sets in ascending VPN order — the unordered sets feed
+     * only order-insensitive consumers (touchedMask), but snapshot
+     * bytes must not depend on hash iteration order.
      */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("tracker");
-        out.u64(perGpu_.size());
-        for (const auto& set : perGpu_) {
-            std::vector<PageNum> vpns(set.begin(), set.end());
-            std::sort(vpns.begin(), vpns.end());
-            out.u64(vpns.size());
-            for (const PageNum vpn : vpns)
-                out.u64(vpn);
-        }
-        out.b(active_);
-        out.u64(marks_);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("tracker");
-        if (in.u64() != perGpu_.size())
-            throw snapshot::SnapshotError(
-                "snapshot GPU count differs from the configured "
-                "tracker");
-        for (auto& set : perGpu_) {
-            set.clear();
-            const std::uint64_t n = in.count(1ULL << 32);
-            set.reserve(n);
-            for (std::uint64_t i = 0; i < n; ++i)
-                set.insert(in.u64());
-        }
-        active_ = in.b();
-        marks_ = in.u64();
+        io.section("tracker");
+        io.expect(perGpu_.size(),
+                  "snapshot GPU count differs from the configured "
+                  "tracker");
+        for (auto& set : perGpu_)
+            io.sortedKeys(set, 1ULL << 32,
+                          [&io](PageNum& vpn) { io.u64(vpn); });
+        io.b(active_);
+        io.u64(marks_);
     }
 
   private:

@@ -112,38 +112,25 @@ class GpsPageTable : public SimObject
         }
     }
 
-    /** Serialize the dense PTE array (replica lists are ordered). */
+    /**
+     * The dense PTE array (replica lists are ordered); loading replaces
+     * the current contents.
+     */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("gpstable");
-        out.u64(base_);
-        out.u64(table_.size());
-        for (const GpsPte& pte : table_) {
-            out.u64(pte.replicas.size());
-            for (const GpsReplica& r : pte.replicas) {
-                out.u32(r.gpu);
-                out.u64(r.ppn);
-            }
-        }
-        out.u64(live_);
-    }
-
-    /** Counterpart of saveState; replaces the current contents. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("gpstable");
-        base_ = in.u64();
-        table_.assign(in.count(1ULL << 32), GpsPte{});
+        io.section("gpstable");
+        io.u64(base_);
+        table_.resize(io.count(table_.size(), 1ULL << 32));
         for (GpsPte& pte : table_) {
-            pte.replicas.resize(in.count(maxGpusPerReplicaList));
+            pte.replicas.resize(
+                io.count(pte.replicas.size(), maxGpusPerReplicaList));
             for (GpsReplica& r : pte.replicas) {
-                r.gpu = static_cast<GpuId>(in.u32());
-                r.ppn = in.u64();
+                io.as<std::uint32_t>(r.gpu);
+                io.u64(r.ppn);
             }
         }
-        live_ = in.u64();
+        io.u64(live_);
     }
 
   private:

@@ -1,6 +1,5 @@
 #include "core/gps_paradigm.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "check/sink.hh"
@@ -531,67 +530,34 @@ GpsParadigm::declareStats(StatVisitor& v) const
 }
 
 void
-GpsParadigm::saveState(snapshot::Serializer& out) const
+GpsParadigm::transferState(snapshot::StateIO& io)
 {
-    gps_assert(pendingSlots_.empty(),
-               "snapshot taken with subscriber forwards pending");
-    out.section("paradigm:gps");
-    gpsTable_->saveState(out);
-    subs_->saveState(out);
-    tracker_->saveState(out);
-    out.u64(queues_.size());
-    for (const auto& queue : queues_)
-        queue->saveState(out);
-    out.u64(units_.size());
-    for (const auto& unit : units_)
-        unit->saveState(out);
-    // degraded_ keys are (vpn << 8) | gpu; sorted so snapshot bytes never
-    // depend on hash iteration order.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> degraded(
-        degraded_.begin(), degraded_.end());
-    std::sort(degraded.begin(), degraded.end());
-    out.u64(degraded.size());
-    for (const auto& [key, accesses] : degraded) {
-        out.u64(key);
-        out.u32(accesses);
-    }
-    out.u64(chargedStallDrains_.size());
-    for (const std::uint64_t charged : chargedStallDrains_)
-        out.u64(charged);
-    out.u64(uplinkForwards_);
-}
-
-void
-GpsParadigm::restoreState(snapshot::Deserializer& in)
-{
-    in.section("paradigm:gps");
-    gpsTable_->restoreState(in);
-    subs_->restoreState(in);
-    tracker_->restoreState(in);
-    const std::uint64_t queues = in.u64();
-    if (queues != queues_.size())
-        throw snapshot::SnapshotError(
-            "snapshot write-queue count differs from the configured "
-            "system");
+    if (!io.loading())
+        gps_assert(pendingSlots_.empty(),
+                   "snapshot taken with subscriber forwards pending");
+    io.section("paradigm:gps");
+    gpsTable_->transferState(io);
+    subs_->transferState(io);
+    tracker_->transferState(io);
+    io.expect(queues_.size(), "snapshot write-queue count differs from "
+                              "the configured system");
     for (auto& queue : queues_)
-        queue->restoreState(in);
-    const std::uint64_t units = in.u64();
-    if (units != units_.size())
-        throw snapshot::SnapshotError(
-            "snapshot GPS-TU count differs from the configured system");
+        queue->transferState(io);
+    io.expect(units_.size(),
+              "snapshot GPS-TU count differs from the configured system");
     for (auto& unit : units_)
-        unit->restoreState(in);
-    degraded_.clear();
-    const std::uint64_t degraded = in.count(1ULL << 40);
-    degraded_.reserve(degraded);
-    for (std::uint64_t i = 0; i < degraded; ++i) {
-        const std::uint64_t key = in.u64();
-        degraded_[key] = in.u32();
-    }
-    chargedStallDrains_.assign(in.count(1ULL << 20), 0);
+        unit->transferState(io);
+    // degraded_ keys are (vpn << 8) | gpu.
+    io.sortedKeys(degraded_, 1ULL << 40,
+                  [&io](std::uint64_t& key, std::uint32_t& accesses) {
+                      io.u64(key);
+                      io.u32(accesses);
+                  });
+    chargedStallDrains_.resize(
+        io.count(chargedStallDrains_.size(), 1ULL << 20));
     for (std::uint64_t& charged : chargedStallDrains_)
-        charged = in.u64();
-    uplinkForwards_ = in.u64();
+        io.u64(charged);
+    io.u64(uplinkForwards_);
 }
 
 } // namespace gps

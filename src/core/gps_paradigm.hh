@@ -121,8 +121,7 @@ class GpsParadigm : public Paradigm
      * translation units, the degraded-page access counts, and the
      * per-GPU stall-drain charge cursors.
      */
-    void saveState(snapshot::Serializer& out) const override;
-    void restoreState(snapshot::Deserializer& in) override;
+    void transferState(snapshot::StateIO& io) override;
 
   protected:
     void accessShared(GpuId gpu, const MemAccess& access, PageNum vpn,

@@ -40,22 +40,13 @@ class GpsTranslationUnit : public SimObject
 
     std::uint64_t walks() const { return walks_; }
 
-    /** Serialize the GPS-TLB contents and the walk counter. */
+    /** The GPS-TLB contents and the walk counter. */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("gpstu");
-        tlb_->saveState(out);
-        out.u64(walks_);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("gpstu");
-        tlb_->restoreState(in);
-        walks_ = in.u64();
+        io.section("gpstu");
+        tlb_->transferState(io);
+        io.u64(walks_);
     }
 
   private:

@@ -151,61 +151,36 @@ class RemoteWriteQueue : public SimObject
     std::uint64_t sramBytes() const;
 
     /**
-     * Serialize resident entries in FIFO order plus all counters; the
-     * line index is rebuilt from the FIFO at restore.
+     * Resident entries in FIFO order plus all counters; loading
+     * rebuilds the line index from the FIFO.
      */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("rwq");
-        out.u64(fifo_.size());
-        for (const WqEntry& e : fifo_) {
-            out.u64(e.line);
-            out.u64(e.vpn);
-            out.u32(e.bytesWritten);
-            out.u32(e.mergedStores);
-            out.u32(e.weight);
-            out.u64(e.seq);
+        io.section("rwq");
+        fifo_.resize(io.count(fifo_.size(), 1ULL << 24));
+        for (WqEntry& e : fifo_) {
+            io.u64(e.line);
+            io.u64(e.vpn);
+            io.u32(e.bytesWritten);
+            io.u32(e.mergedStores);
+            io.u32(e.weight);
+            io.u64(e.seq);
         }
-        out.u32(occupancy_);
-        out.u64(inserts_);
-        out.u64(coalesced_);
-        out.u64(drains_);
-        out.u64(atomicBypass_);
-        out.u64(watermarkDrains_);
-        out.u64(forwardHits_);
-        out.u64(stallDrains_);
-        out.b(saturated_);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("rwq");
-        fifo_.clear();
-        index_.clear();
-        const std::uint64_t n = in.count(1ULL << 24);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            WqEntry e;
-            e.line = in.u64();
-            e.vpn = in.u64();
-            e.bytesWritten = in.u32();
-            e.mergedStores = in.u32();
-            e.weight = in.u32();
-            e.seq = in.u64();
-            fifo_.push_back(e);
-            index_[e.line] = std::prev(fifo_.end());
+        io.u32(occupancy_);
+        io.u64(inserts_);
+        io.u64(coalesced_);
+        io.u64(drains_);
+        io.u64(atomicBypass_);
+        io.u64(watermarkDrains_);
+        io.u64(forwardHits_);
+        io.u64(stallDrains_);
+        io.b(saturated_);
+        if (io.loading()) {
+            index_.clear();
+            for (auto it = fifo_.begin(); it != fifo_.end(); ++it)
+                index_[it->line] = it;
         }
-        occupancy_ = in.u32();
-        inserts_ = in.u64();
-        coalesced_ = in.u64();
-        drains_ = in.u64();
-        atomicBypass_ = in.u64();
-        watermarkDrains_ = in.u64();
-        forwardHits_ = in.u64();
-        stallDrains_ = in.u64();
-        saturated_ = in.b();
     }
 
   private:

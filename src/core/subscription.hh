@@ -114,33 +114,20 @@ class SubscriptionManager : public SimObject
     std::uint64_t unsubscribeOps() const { return unsubscribeOps_; }
 
     /**
-     * Serialize the op counters. The subscription state itself lives
-     * in the driver page state and the GPS page table, both covered by
-     * their own saveState.
+     * The op counters. The subscription state itself lives in the
+     * driver page state and the GPS page table, both covered by their
+     * own transferState.
      */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("subs");
-        out.u64(subscribeOps_);
-        out.u64(unsubscribeOps_);
-        out.u64(oversubscriptionRejects_);
-        out.u64(collapses_);
-        out.u64(swapOuts_);
-        out.u64(replicaRetires_);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("subs");
-        subscribeOps_ = in.u64();
-        unsubscribeOps_ = in.u64();
-        oversubscriptionRejects_ = in.u64();
-        collapses_ = in.u64();
-        swapOuts_ = in.u64();
-        replicaRetires_ = in.u64();
+        io.section("subs");
+        io.u64(subscribeOps_);
+        io.u64(unsubscribeOps_);
+        io.u64(oversubscriptionRejects_);
+        io.u64(collapses_);
+        io.u64(swapOuts_);
+        io.u64(replicaRetires_);
     }
 
   private:

@@ -288,31 +288,17 @@ Driver::declareStats(StatVisitor& v) const
 }
 
 void
-Driver::saveState(snapshot::Serializer& out) const
+Driver::transferState(snapshot::StateIO& io)
 {
-    out.section("driver");
-    out.u64(pageTables_.size());
-    for (const auto& pt : pageTables_)
-        pt->saveState(out);
-    pages_.saveState(out);
-    out.u64(migrations_);
-    out.u64(shootdownRounds_);
-    out.u64(reclaims_);
-}
-
-void
-Driver::restoreState(snapshot::Deserializer& in)
-{
-    in.section("driver");
-    if (in.u64() != pageTables_.size())
-        throw snapshot::SnapshotError(
-            "snapshot GPU count differs from the configured system");
+    io.section("driver");
+    io.expect(pageTables_.size(),
+              "snapshot GPU count differs from the configured system");
     for (auto& pt : pageTables_)
-        pt->restoreState(in);
-    pages_.restoreState(in);
-    migrations_ = in.u64();
-    shootdownRounds_ = in.u64();
-    reclaims_ = in.u64();
+        pt->transferState(io);
+    pages_.transferState(io);
+    io.u64(migrations_);
+    io.u64(shootdownRounds_);
+    io.u64(reclaims_);
 }
 
 } // namespace gps

@@ -159,14 +159,11 @@ class Driver : public SimObject
     }
 
     /**
-     * Serialize per-GPU page tables, the dense page-state store, and
-     * the driver's own counters. The reclaim hook is reinstalled by its
-     * owner at reconstruction, not persisted.
+     * Per-GPU page tables, the dense page-state store, and the driver's
+     * own counters. The reclaim hook is reinstalled by its owner at
+     * reconstruction, not persisted.
      */
-    void saveState(snapshot::Serializer& out) const;
-
-    /** Counterpart of saveState. */
-    void restoreState(snapshot::Deserializer& in);
+    void transferState(snapshot::StateIO& io);
 
   private:
     void declareStats(StatVisitor& v) const override;

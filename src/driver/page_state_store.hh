@@ -132,64 +132,39 @@ class PageStateStore
     /** Number of live slabs (== live regions). */
     std::size_t ranges() const { return slabs_.size(); }
 
-    /** Serialize every slab with its full per-page records. */
+    /**
+     * Every slab with its full per-page records; loading replaces the
+     * current contents.
+     */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("pagestate");
-        out.u64(slabs_.size());
-        for (const Slab& slab : slabs_) {
-            out.u64(slab.first);
-            out.u64(slab.states.size());
-            for (const PageState& st : slab.states) {
-                out.u8(static_cast<std::uint8_t>(st.kind));
-                out.u32(st.location);
-                maskSave(out, st.mapped);
-                maskSave(out, st.backed);
-                out.u32(st.preferredLocation);
-                maskSave(out, st.accessedBy);
-                out.b(st.readMostly);
-                maskSave(out, st.readCopies);
-                out.u32(st.lastWriter);
-                out.b(st.dirtySinceBarrier);
-                maskSave(out, st.subscribers);
-                out.b(st.gpsBitSet);
-                out.b(st.collapsed);
-            }
-        }
-    }
-
-    /** Counterpart of saveState; replaces the current contents. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("pagestate");
-        slabs_.clear();
-        pages_ = 0;
-        hint_ = 0;
-        const std::uint64_t nslabs = in.count(1ULL << 24);
-        slabs_.reserve(nslabs);
-        for (std::uint64_t i = 0; i < nslabs; ++i) {
-            Slab slab;
-            slab.first = in.u64();
-            slab.states.resize(in.count(1ULL << 32));
+        io.section("pagestate");
+        slabs_.resize(io.count(slabs_.size(), 1ULL << 24));
+        std::size_t pages = 0;
+        for (Slab& slab : slabs_) {
+            io.u64(slab.first);
+            slab.states.resize(io.count(slab.states.size(), 1ULL << 32));
             for (PageState& st : slab.states) {
-                st.kind = static_cast<MemKind>(in.u8());
-                st.location = static_cast<GpuId>(in.u32());
-                st.mapped = maskLoad(in);
-                st.backed = maskLoad(in);
-                st.preferredLocation = static_cast<GpuId>(in.u32());
-                st.accessedBy = maskLoad(in);
-                st.readMostly = in.b();
-                st.readCopies = maskLoad(in);
-                st.lastWriter = static_cast<GpuId>(in.u32());
-                st.dirtySinceBarrier = in.b();
-                st.subscribers = maskLoad(in);
-                st.gpsBitSet = in.b();
-                st.collapsed = in.b();
+                io.as<std::uint8_t>(st.kind);
+                io.as<std::uint32_t>(st.location);
+                maskState(io, st.mapped);
+                maskState(io, st.backed);
+                io.as<std::uint32_t>(st.preferredLocation);
+                maskState(io, st.accessedBy);
+                io.b(st.readMostly);
+                maskState(io, st.readCopies);
+                io.as<std::uint32_t>(st.lastWriter);
+                io.b(st.dirtySinceBarrier);
+                maskState(io, st.subscribers);
+                io.b(st.gpsBitSet);
+                io.b(st.collapsed);
             }
-            pages_ += slab.states.size();
-            slabs_.push_back(std::move(slab));
+            pages += slab.states.size();
+        }
+        if (io.loading()) {
+            pages_ = pages;
+            hint_ = 0;
         }
     }
 

@@ -60,35 +60,18 @@ class FaultEngine
     void registerMetrics(MetricRegistry& reg) const;
 
     /**
-     * Serialize injection progress: RNG stream position, report
-     * counters, and the next-event cursor. The plan itself is rebuilt
-     * from the run configuration at restore.
+     * Injection progress: RNG stream position, report counters, and
+     * the next-event cursor. The plan itself is rebuilt from the run
+     * configuration at restore and must already match.
      */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("faults");
-        std::uint64_t words[4];
-        rng_.saveState(words);
-        for (const std::uint64_t w : words)
-            out.u64(w);
+        io.section("faults");
+        rng_.transferState(io);
         for (const auto& f : faultReportFields)
-            out.u64(report_.*f.member);
-        out.u64(next_);
-    }
-
-    /** Counterpart of saveState; the plan must already match. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("faults");
-        std::uint64_t words[4];
-        for (std::uint64_t& w : words)
-            w = in.u64();
-        rng_.restoreState(words);
-        for (const auto& f : faultReportFields)
-            report_.*f.member = in.u64();
-        next_ = in.u64();
+            io.u64(report_.*f.member);
+        io.u64(next_);
         if (next_ > plan_.events.size())
             throw snapshot::SnapshotError(
                 "snapshot fault cursor exceeds the configured plan");

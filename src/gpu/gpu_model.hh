@@ -110,30 +110,20 @@ class GpuModel : public SimObject
 
     const FaultTiming& faultTiming() const { return faultTiming_; }
 
-    /** Serialize L2, TLB, coalescer, and physical-memory state. */
+    /** L2, TLB, coalescer, and physical-memory state. */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("gpu");
-        out.u32(id_);
-        l2_->saveState(out);
-        tlb_->saveState(out);
-        coalescer_->saveState(out);
-        memory_->saveState(out);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("gpu");
-        if (in.u32() != id_)
+        io.section("gpu");
+        GpuId id = id_;
+        io.as<std::uint32_t>(id);
+        if (id != id_)
             throw snapshot::SnapshotError(
                 "snapshot GPU id differs from the configured GPU");
-        l2_->restoreState(in);
-        tlb_->restoreState(in);
-        coalescer_->restoreState(in);
-        memory_->restoreState(in);
+        l2_->transferState(io);
+        tlb_->transferState(io);
+        coalescer_->transferState(io);
+        memory_->transferState(io);
     }
 
   private:

@@ -51,35 +51,19 @@ class StoreCoalescer : public SimObject
     std::uint64_t absorbed() const { return absorbed_; }
     std::uint64_t forwarded() const { return forwarded_; }
 
-    /** Serialize the resident lines and the counters. */
+    /** The resident lines and the counters; depth must match. */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("coalescer");
-        out.u64(lines_.size());
-        for (const std::uint64_t line : lines_)
-            out.u64(line);
-        out.u32(head_);
-        out.u32(valid_);
-        out.u64(absorbed_);
-        out.u64(forwarded_);
-    }
-
-    /** Counterpart of saveState; depth must match this instance. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("coalescer");
-        if (in.u64() != lines_.size())
-            throw snapshot::SnapshotError(
-                "snapshot coalescer depth differs from the configured "
-                "coalescer");
+        io.section("coalescer");
+        io.expect(lines_.size(), "snapshot coalescer depth differs from "
+                                 "the configured coalescer");
         for (std::uint64_t& line : lines_)
-            line = in.u64();
-        head_ = in.u32();
-        valid_ = in.u32();
-        absorbed_ = in.u64();
-        forwarded_ = in.u64();
+            io.u64(line);
+        io.u32(head_);
+        io.u32(valid_);
+        io.u64(absorbed_);
+        io.u64(forwarded_);
     }
 
   private:

@@ -42,20 +42,12 @@ class Link : public SimObject
     std::uint64_t totalBytes() const { return totalBytes_; }
     Tick busyTime() const { return busyTime_; }
 
-    /** Serialize lifetime byte/busy accounting. */
+    /** Lifetime byte/busy accounting. */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.u64(totalBytes_);
-        out.u64(busyTime_);
-    }
-
-    /** Counterpart of saveState. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        totalBytes_ = in.u64();
-        busyTime_ = in.u64();
+        io.u64(totalBytes_);
+        io.u64(busyTime_);
     }
 
   private:

@@ -209,41 +209,20 @@ NodeTopology::declareStats(StatVisitor& v) const
 }
 
 void
-NodeTopology::saveState(snapshot::Serializer& out) const
+NodeTopology::transferState(snapshot::StateIO& io)
 {
-    Topology::saveState(out);
-    out.section("nodetopology");
-    out.u64(numNodes_);
-    for (const auto& link : upEgress_)
-        link->saveState(out);
-    for (const auto& link : upIngress_)
-        link->saveState(out);
-    for (const std::uint64_t b : cross_)
-        out.u64(b);
-    for (const PathState& st : uplinkFaults_) {
-        out.u8(static_cast<std::uint8_t>(st.health));
-        out.f64(st.factor);
-    }
-}
-
-void
-NodeTopology::restoreState(snapshot::Deserializer& in)
-{
-    Topology::restoreState(in);
-    in.section("nodetopology");
-    if (in.u64() != numNodes_)
-        throw snapshot::SnapshotError(
-            "snapshot node count differs from the configured topology");
+    Topology::transferState(io);
+    io.section("nodetopology");
+    io.expect(numNodes_,
+              "snapshot node count differs from the configured topology");
     for (auto& link : upEgress_)
-        link->restoreState(in);
+        link->transferState(io);
     for (auto& link : upIngress_)
-        link->restoreState(in);
+        link->transferState(io);
     for (std::uint64_t& b : cross_)
-        b = in.u64();
-    for (PathState& st : uplinkFaults_) {
-        st.health = decodePathHealth(in.u8());
-        st.factor = in.f64();
-    }
+        io.u64(b);
+    for (PathState& st : uplinkFaults_)
+        transferPathState(io, st);
 }
 
 } // namespace gps

@@ -90,8 +90,7 @@ class NodeTopology : public Topology
     Tick ingressTime(const TrafficMatrix& traffic,
                      GpuId gpu) const override;
 
-    void saveState(snapshot::Serializer& out) const override;
-    void restoreState(snapshot::Deserializer& in) override;
+    void transferState(snapshot::StateIO& io) override;
 
   private:
     void declareStats(StatVisitor& v) const override;

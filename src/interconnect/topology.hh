@@ -18,8 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/types.hh"
 #include "interconnect/link.hh"
 #include "interconnect/pcie.hh"
@@ -206,78 +204,49 @@ class Topology : public SimObject
                            FaultReport& report) const;
 
     /**
-     * Serialize link accounting, lifetime totals, and fault path state
-     * (sorted by path key — the unordered map feeds only key-addressed
-     * lookups, but snapshot bytes must be deterministic).
+     * Link accounting, lifetime totals, and fault path state (in path
+     * key order: the unordered map feeds only key-addressed lookups,
+     * but snapshot bytes must be deterministic).
      */
     virtual void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("topology");
-        out.u64(numGpus_);
-        for (const auto& link : egress_)
-            link->saveState(out);
-        for (const auto& link : ingress_)
-            link->saveState(out);
-        out.u64(totalBytes_);
-        out.u64(totalPayload_);
-        std::vector<std::uint32_t> keys;
-        keys.reserve(paths_.size());
-        for (const auto& [key, st] : paths_)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end());
-        out.u64(keys.size());
-        for (const std::uint32_t key : keys) {
-            const PathState& st = paths_.at(key);
-            out.u32(key);
-            out.u8(static_cast<std::uint8_t>(st.health));
-            out.f64(st.factor);
-        }
-        out.b(pcieFallback_);
-    }
-
-    /** Counterpart of saveState. */
-    virtual void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("topology");
-        if (in.u64() != numGpus_)
-            throw snapshot::SnapshotError(
-                "snapshot GPU count differs from the configured "
-                "topology");
+        io.section("topology");
+        io.expect(numGpus_,
+                  "snapshot GPU count differs from the configured "
+                  "topology");
         for (auto& link : egress_)
-            link->restoreState(in);
+            link->transferState(io);
         for (auto& link : ingress_)
-            link->restoreState(in);
-        totalBytes_ = in.u64();
-        totalPayload_ = in.u64();
-        paths_.clear();
-        const std::uint64_t n = in.count(1ULL << 32);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint32_t key = in.u32();
-            PathState st;
-            st.health = decodePathHealth(in.u8());
-            st.factor = in.f64();
-            paths_.emplace(key, st);
-        }
-        pcieFallback_ = in.b();
+            link->transferState(io);
+        io.u64(totalBytes_);
+        io.u64(totalPayload_);
+        io.sortedKeys(paths_, 1ULL << 32,
+                      [&io](std::uint32_t& key, PathState& st) {
+                          io.u32(key);
+                          transferPathState(io, st);
+                      });
+        io.b(pcieFallback_);
     }
 
   protected:
     void declareStats(StatVisitor& v) const override;
 
     /**
-     * Validate a serialized PathHealth: a corrupt or hand-edited
-     * snapshot must not resume with an out-of-range enum (every switch
-     * over the health would be undefined behavior).
+     * One path's health and bandwidth factor. A corrupt or hand-edited
+     * snapshot must not resume with an out-of-range health (every
+     * switch over the health would be undefined behavior).
      */
-    static PathHealth
-    decodePathHealth(std::uint8_t raw)
+    static void
+    transferPathState(snapshot::StateIO& io, PathState& st)
     {
+        auto raw = static_cast<std::uint8_t>(st.health);
+        io.u8(raw);
         if (raw > static_cast<std::uint8_t>(PathHealth::Down))
             throw snapshot::SnapshotError(
                 "corrupt snapshot: path health value out of range");
-        return static_cast<PathHealth>(raw);
+        st.health = static_cast<PathHealth>(raw);
+        io.f64(st.factor);
     }
 
     static std::uint32_t

@@ -12,10 +12,8 @@
 #ifndef GPS_MEM_PAGE_TABLE_HH
 #define GPS_MEM_PAGE_TABLE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 #include "sim/sim_object.hh"
@@ -69,50 +67,19 @@ class PageTable : public SimObject
 
     std::size_t size() const { return table_.size(); }
 
-    /**
-     * Serialize every mapping in ascending VPN order (the unordered
-     * map's iteration order must not leak into snapshot bytes) plus
-     * the op counters.
-     */
+    /** Every mapping, in ascending VPN order, plus the op counters. */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("pagetable");
-        std::vector<PageNum> vpns;
-        vpns.reserve(table_.size());
-        for (const auto& [vpn, pte] : table_)
-            vpns.push_back(vpn);
-        std::sort(vpns.begin(), vpns.end());
-        out.u64(vpns.size());
-        for (const PageNum vpn : vpns) {
-            const Pte& pte = table_.at(vpn);
-            out.u64(vpn);
-            out.u64(pte.ppn);
-            out.u32(pte.location);
-            out.b(pte.gpsBit);
-        }
-        out.u64(mapOps_);
-        out.u64(unmapOps_);
-    }
-
-    /** Counterpart of saveState; replaces the current contents. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("pagetable");
-        table_.clear();
-        const std::uint64_t n = in.count(1ULL << 40);
-        table_.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const PageNum vpn = in.u64();
-            Pte pte;
-            pte.ppn = in.u64();
-            pte.location = static_cast<GpuId>(in.u32());
-            pte.gpsBit = in.b();
-            table_.emplace(vpn, pte);
-        }
-        mapOps_ = in.u64();
-        unmapOps_ = in.u64();
+        io.section("pagetable");
+        io.sortedKeys(table_, 1ULL << 40, [&io](PageNum& vpn, Pte& pte) {
+            io.u64(vpn);
+            io.u64(pte.ppn);
+            io.as<std::uint32_t>(pte.location);
+            io.b(pte.gpsBit);
+        });
+        io.u64(mapOps_);
+        io.u64(unmapOps_);
     }
 
   private:

@@ -76,54 +76,32 @@ class PhysicalMemory : public SimObject
     const PageGeometry& geometry() const { return geometry_; }
 
     /**
-     * Serialize the full allocator state: frame ledger, bump region,
-     * free list, and allocation bitmap.
+     * The full allocator state: frame ledger, bump region, free list,
+     * and allocation bitmap; capacity must match this instance.
      */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("physmem");
-        out.u64(capacityBytes_);
-        out.u64(totalFrames_);
-        out.u64(initialFrames_);
-        out.u64(framesInUse_);
-        out.u64(peakFramesInUse_);
-        out.u64(framesRetired_);
-        out.u64(bumpNext_);
-        out.u64(bumpLimit_);
-        out.u64(freeList_.size());
-        for (const PageNum ppn : freeList_)
-            out.u64(ppn);
-        out.u64(inUse_.size());
-        for (const bool used : inUse_)
-            out.b(used);
-    }
-
-    /** Counterpart of saveState; capacity must match this instance. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("physmem");
-        if (in.u64() != capacityBytes_)
-            throw snapshot::SnapshotError(
-                "snapshot memory capacity differs from the configured "
-                "device");
-        totalFrames_ = in.u64();
-        if (in.u64() != initialFrames_)
-            throw snapshot::SnapshotError(
-                "snapshot initial frame count differs from the "
-                "configured device");
-        framesInUse_ = in.u64();
-        peakFramesInUse_ = in.u64();
-        framesRetired_ = in.u64();
-        bumpNext_ = in.u64();
-        bumpLimit_ = in.u64();
-        freeList_.resize(in.count(initialFrames_));
+        io.section("physmem");
+        io.expect(capacityBytes_, "snapshot memory capacity differs from "
+                                  "the configured device");
+        io.u64(totalFrames_);
+        io.expect(initialFrames_, "snapshot initial frame count differs "
+                                  "from the configured device");
+        io.u64(framesInUse_);
+        io.u64(peakFramesInUse_);
+        io.u64(framesRetired_);
+        io.u64(bumpNext_);
+        io.u64(bumpLimit_);
+        freeList_.resize(io.count(freeList_.size(), initialFrames_));
         for (PageNum& ppn : freeList_)
-            ppn = in.u64();
-        inUse_.resize(in.count(initialFrames_));
-        for (std::size_t i = 0; i < inUse_.size(); ++i)
-            inUse_[i] = in.b();
+            io.u64(ppn);
+        inUse_.resize(io.count(inUse_.size(), initialFrames_));
+        for (std::size_t i = 0; i < inUse_.size(); ++i) {
+            bool used = inUse_[i];
+            io.b(used);
+            inUse_[i] = used;
+        }
     }
 
   private:

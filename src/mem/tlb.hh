@@ -58,43 +58,28 @@ class Tlb : public SimObject
     /** Hit fraction over all lookups (0 when never probed). */
     double hitRate() const;
 
-    /** Serialize every entry, the LRU clock, and the counters. */
+    /**
+     * Every entry, the LRU clock, and the counters; geometry must match
+     * this instance.
+     */
     void
-    saveState(snapshot::Serializer& out) const
+    transferState(snapshot::StateIO& io)
     {
-        out.section("tlb");
-        out.u64(sets_);
-        out.u64(ways_);
-        for (const Entry& e : entries_) {
-            out.u64(e.vpn);
-            out.b(e.valid);
-            out.u64(e.lastUse);
-        }
-        out.u64(useClock_);
-        out.u64(hits_);
-        out.u64(misses_);
-        out.u64(evictions_);
-        out.u64(shootdowns_);
-    }
-
-    /** Counterpart of saveState; geometry must match this instance. */
-    void
-    restoreState(snapshot::Deserializer& in)
-    {
-        in.section("tlb");
-        if (in.u64() != sets_ || in.u64() != ways_)
-            throw snapshot::SnapshotError(
-                "snapshot TLB geometry differs from the configured TLB");
+        io.section("tlb");
+        io.expect(sets_, "snapshot TLB geometry differs from the "
+                         "configured TLB");
+        io.expect(ways_, "snapshot TLB geometry differs from the "
+                         "configured TLB");
         for (Entry& e : entries_) {
-            e.vpn = in.u64();
-            e.valid = in.b();
-            e.lastUse = in.u64();
+            io.u64(e.vpn);
+            io.b(e.valid);
+            io.u64(e.lastUse);
         }
-        useClock_ = in.u64();
-        hits_ = in.u64();
-        misses_ = in.u64();
-        evictions_ = in.u64();
-        shootdowns_ = in.u64();
+        io.u64(useClock_);
+        io.u64(hits_);
+        io.u64(misses_);
+        io.u64(evictions_);
+        io.u64(shootdowns_);
     }
 
   private:

@@ -27,137 +27,68 @@ to_string(CausalEdge edge)
 }
 
 void
-CausalRecorder::saveState(snapshot::Serializer& out) const
+CausalRecorder::transferState(snapshot::StateIO& io)
 {
-    out.section("causal");
-    out.f64(data_.model.linkBandwidth);
-    out.b(data_.model.linkInfinite);
-    out.u64(data_.model.linkLatency);
-    out.u32(data_.model.headerBytes);
-    out.u32(data_.model.cacheLineBytes);
-    out.u64(data_.model.kernelLaunchOverhead);
-    out.f64(data_.model.wqDrainScale);
-    out.u64(data_.model.numGpus);
-    out.u64(data_.model.effectiveIterations);
+    io.section("causal");
+    CausalModel& model = data_.model;
+    io.f64(model.linkBandwidth);
+    io.b(model.linkInfinite);
+    io.u64(model.linkLatency);
+    io.u32(model.headerBytes);
+    io.u32(model.cacheLineBytes);
+    io.u64(model.kernelLaunchOverhead);
+    io.f64(model.wqDrainScale);
+    io.u64(model.numGpus);
+    io.u64(model.effectiveIterations);
 
-    out.u64(data_.phases.size());
-    for (const CausalPhase& ph : data_.phases) {
-        out.str(ph.name);
-        out.u64(ph.iter);
-        out.u64(ph.start);
-        out.u64(ph.prefetchTime);
-        out.u64(ph.barrierOverhead);
-        out.u64(ph.barrierTime);
-        out.u64(ph.phaseTime);
-        out.u64(ph.kernels.size());
-        for (const CausalKernel& k : ph.kernels) {
-            out.u32(k.gpu);
-            out.u64(k.tCompute);
-            out.u64(k.tL2);
-            out.u64(k.tDram);
-            out.u64(k.tWalks);
-            out.f64(k.batchesLoads);
-            out.f64(k.batchesAtomics);
-            out.u64(k.tFaults);
-            out.u64(k.tShootdowns);
-            out.u64(k.tWqStall);
-            out.u64(k.egressBytes);
-            out.u64(k.ingressBytes);
-            out.u64(k.gpuTime);
+    data_.phases.resize(io.count(data_.phases.size(), 1ULL << 32));
+    for (CausalPhase& ph : data_.phases) {
+        io.str(ph.name);
+        io.u64(ph.iter);
+        io.u64(ph.start);
+        io.u64(ph.prefetchTime);
+        io.u64(ph.barrierOverhead);
+        io.u64(ph.barrierTime);
+        io.u64(ph.phaseTime);
+        ph.kernels.resize(io.count(ph.kernels.size(), 1ULL << 24));
+        for (CausalKernel& k : ph.kernels) {
+            io.u32(k.gpu);
+            io.u64(k.tCompute);
+            io.u64(k.tL2);
+            io.u64(k.tDram);
+            io.u64(k.tWalks);
+            io.f64(k.batchesLoads);
+            io.f64(k.batchesAtomics);
+            io.u64(k.tFaults);
+            io.u64(k.tShootdowns);
+            io.u64(k.tWqStall);
+            io.u64(k.egressBytes);
+            io.u64(k.ingressBytes);
+            io.u64(k.gpuTime);
         }
-        out.u64(ph.barrierEgress.size());
-        for (const std::uint64_t b : ph.barrierEgress)
-            out.u64(b);
-        out.u64(ph.barrierIngress.size());
-        for (const std::uint64_t b : ph.barrierIngress)
-            out.u64(b);
+        ph.barrierEgress.resize(
+            io.count(ph.barrierEgress.size(), 1ULL << 24));
+        for (std::uint64_t& b : ph.barrierEgress)
+            io.u64(b);
+        ph.barrierIngress.resize(
+            io.count(ph.barrierIngress.size(), 1ULL << 24));
+        for (std::uint64_t& b : ph.barrierIngress)
+            io.u64(b);
     }
 
-    out.u64(data_.iterations.size());
-    for (const CausalIteration& it : data_.iterations) {
-        out.u64(it.iter);
-        out.u64(it.start);
-        out.u64(it.end);
-    }
-    for (const std::uint64_t e : data_.edges)
-        out.u64(e);
-    out.u64(data_.droppedPhases);
-    out.u64(openIter_);
-    out.u64(openStart_);
-    out.b(openValid_);
-}
-
-void
-CausalRecorder::restoreState(snapshot::Deserializer& in)
-{
-    in.section("causal");
-    data_ = CausalReport{};
-    data_.model.linkBandwidth = in.f64();
-    data_.model.linkInfinite = in.b();
-    data_.model.linkLatency = in.u64();
-    data_.model.headerBytes = in.u32();
-    data_.model.cacheLineBytes = in.u32();
-    data_.model.kernelLaunchOverhead = in.u64();
-    data_.model.wqDrainScale = in.f64();
-    data_.model.numGpus = in.u64();
-    data_.model.effectiveIterations = in.u64();
-
-    const std::uint64_t phases = in.count(1ULL << 32);
-    data_.phases.reserve(phases);
-    for (std::uint64_t p = 0; p < phases; ++p) {
-        CausalPhase ph;
-        ph.name = in.str();
-        ph.iter = in.u64();
-        ph.start = in.u64();
-        ph.prefetchTime = in.u64();
-        ph.barrierOverhead = in.u64();
-        ph.barrierTime = in.u64();
-        ph.phaseTime = in.u64();
-        const std::uint64_t kernels = in.count(1ULL << 24);
-        ph.kernels.reserve(kernels);
-        for (std::uint64_t i = 0; i < kernels; ++i) {
-            CausalKernel k;
-            k.gpu = in.u32();
-            k.tCompute = in.u64();
-            k.tL2 = in.u64();
-            k.tDram = in.u64();
-            k.tWalks = in.u64();
-            k.batchesLoads = in.f64();
-            k.batchesAtomics = in.f64();
-            k.tFaults = in.u64();
-            k.tShootdowns = in.u64();
-            k.tWqStall = in.u64();
-            k.egressBytes = in.u64();
-            k.ingressBytes = in.u64();
-            k.gpuTime = in.u64();
-            ph.kernels.push_back(k);
-        }
-        std::uint64_t n = in.count(1ULL << 24);
-        ph.barrierEgress.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ph.barrierEgress.push_back(in.u64());
-        n = in.count(1ULL << 24);
-        ph.barrierIngress.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ph.barrierIngress.push_back(in.u64());
-        data_.phases.push_back(std::move(ph));
-    }
-
-    const std::uint64_t iters = in.count(1ULL << 32);
-    data_.iterations.reserve(iters);
-    for (std::uint64_t i = 0; i < iters; ++i) {
-        CausalIteration it;
-        it.iter = in.u64();
-        it.start = in.u64();
-        it.end = in.u64();
-        data_.iterations.push_back(it);
+    data_.iterations.resize(
+        io.count(data_.iterations.size(), 1ULL << 32));
+    for (CausalIteration& it : data_.iterations) {
+        io.u64(it.iter);
+        io.u64(it.start);
+        io.u64(it.end);
     }
     for (std::uint64_t& e : data_.edges)
-        e = in.u64();
-    data_.droppedPhases = in.u64();
-    openIter_ = in.u64();
-    openStart_ = in.u64();
-    openValid_ = in.b();
+        io.u64(e);
+    io.u64(data_.droppedPhases);
+    io.u64(openIter_);
+    io.u64(openStart_);
+    io.b(openValid_);
 }
 
 namespace

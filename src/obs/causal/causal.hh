@@ -193,9 +193,8 @@ class CausalRecorder
     /** Distill into the plain-data report (copies; recorder lives on). */
     CausalReport finalize() const { return data_; }
 
-    /** Serialize the full graph (snapshot/restore support). */
-    void saveState(snapshot::Serializer& out) const;
-    void restoreState(snapshot::Deserializer& in);
+    /** The full graph (snapshot transfer). */
+    void transferState(snapshot::StateIO& io);
 
   private:
     std::size_t maxPhases_;

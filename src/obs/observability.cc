@@ -92,76 +92,38 @@ Observability::finalize(Tick end)
 }
 
 void
-Observability::saveState(snapshot::Serializer& out) const
+Observability::transferState(snapshot::StateIO& io)
 {
-    out.section("obs");
-    out.b(sampler_ != nullptr);
-    if (sampler_) {
-        out.u64(sampler_->sampleTicks().size());
-        for (const Tick t : sampler_->sampleTicks())
-            out.u64(t);
-        out.u64(sampler_->columns().size());
-        for (const auto& column : sampler_->columns()) {
-            out.u64(column.size());
-            for (const double v : column)
-                out.f64(v);
-        }
-    }
-    out.b(recorder_ != nullptr);
-    if (recorder_)
-        recorder_->saveState(out);
-    out.b(causal_ != nullptr);
-    if (causal_)
-        causal_->saveState(out);
-}
-
-void
-Observability::restoreState(snapshot::Deserializer& in)
-{
-    in.section("obs");
-    if (in.b()) {
-        if (!config_.metrics)
+    io.section("obs");
+    bool has_samples = sampler_ != nullptr;
+    io.b(has_samples);
+    if (has_samples) {
+        if (io.loading() && !config_.metrics)
             throw snapshot::SnapshotError(
                 "snapshot carries metric samples but metrics "
                 "collection is off");
-        std::vector<Tick> ticks;
-        const std::uint64_t n_ticks = in.count(1ULL << 28);
-        ticks.reserve(n_ticks);
-        for (std::uint64_t i = 0; i < n_ticks; ++i)
-            ticks.push_back(in.u64());
-        std::vector<std::vector<double>> columns;
-        const std::uint64_t n_cols = in.count(1ULL << 20);
-        columns.resize(n_cols);
-        for (auto& column : columns) {
-            const std::uint64_t n = in.count(1ULL << 28);
-            column.reserve(n);
-            for (std::uint64_t i = 0; i < n; ++i)
-                column.push_back(in.f64());
-        }
-        if (n_cols != registry_.metrics().size())
-            throw snapshot::SnapshotError(
-                "snapshot metric series count " +
-                std::to_string(n_cols) +
-                " does not match the registry (" +
-                std::to_string(registry_.metrics().size()) + ")");
         if (!sampler_)
             sampler_ =
                 std::make_unique<Sampler>(registry_, config_.sampleEvery);
-        sampler_->restore(std::move(ticks), std::move(columns));
+        sampler_->transferState(io);
     }
-    if (in.b()) {
+    bool has_timeline = recorder_ != nullptr;
+    io.b(has_timeline);
+    if (has_timeline) {
         if (!recorder_)
             throw snapshot::SnapshotError(
                 "snapshot carries a timeline but timeline recording "
                 "is off");
-        recorder_->restoreState(in);
+        recorder_->transferState(io);
     }
-    if (in.b()) {
+    bool has_causal = causal_ != nullptr;
+    io.b(has_causal);
+    if (has_causal) {
         if (!causal_)
             throw snapshot::SnapshotError(
                 "snapshot carries a causal graph but causal tracing "
                 "is off");
-        causal_->restoreState(in);
+        causal_->transferState(io);
     }
 }
 

@@ -130,18 +130,14 @@ class Observability
     ObsReport finalize(Tick end);
 
     /**
-     * Serialize all restart-relevant collector state: sampler series,
-     * timeline recorder, causal recorder. The registry itself persists
-     * nothing — getters re-register against restored components.
+     * All restart-relevant collector state: sampler series, timeline
+     * recorder, causal recorder. The registry itself persists nothing —
+     * getters re-register against restored components. Load after
+     * components registered their metrics; loading creates the sampler
+     * if the snapshot carried one so a later startSampling() keeps the
+     * restored series.
      */
-    void saveState(snapshot::Serializer& out) const;
-
-    /**
-     * Counterpart of saveState. Call after components registered their
-     * metrics; creates the sampler if the snapshot carried one so a
-     * later startSampling() keeps the restored series.
-     */
-    void restoreState(snapshot::Deserializer& in);
+    void transferState(snapshot::StateIO& io);
 
   private:
     ObsConfig config_;

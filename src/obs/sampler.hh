@@ -15,10 +15,12 @@
 #ifndef GPS_OBS_SAMPLER_HH
 #define GPS_OBS_SAMPLER_HH
 
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
 #include "obs/metric_registry.hh"
+#include "snapshot/serial.hh"
 
 namespace gps
 {
@@ -64,15 +66,27 @@ class Sampler
     Tick every() const { return every_; }
 
     /**
-     * Replace the recorded series with checkpointed state (snapshot
-     * restore); the column count must match the registry.
+     * The recorded series (snapshot transfer); a loaded column count
+     * must match the registry.
      */
     void
-    restore(std::vector<Tick> ticks,
-            std::vector<std::vector<double>> columns)
+    transferState(snapshot::StateIO& io)
     {
-        ticks_ = std::move(ticks);
-        columns_ = std::move(columns);
+        ticks_.resize(io.count(ticks_.size(), 1ULL << 28));
+        for (Tick& t : ticks_)
+            io.u64(t);
+        columns_.resize(io.count(columns_.size(), 1ULL << 20));
+        if (io.loading() && columns_.size() != registry_->metrics().size())
+            throw snapshot::SnapshotError(
+                "snapshot metric series count " +
+                std::to_string(columns_.size()) +
+                " does not match the registry (" +
+                std::to_string(registry_->metrics().size()) + ")");
+        for (auto& column : columns_) {
+            column.resize(io.count(column.size(), 1ULL << 28));
+            for (double& v : column)
+                io.f64(v);
+        }
     }
 
   private:

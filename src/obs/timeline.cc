@@ -61,65 +61,30 @@ TimelineRecorder::flow(int tid, std::string name, std::string cat,
 }
 
 void
-TimelineRecorder::saveState(snapshot::Serializer& out) const
+TimelineRecorder::transferState(snapshot::StateIO& io)
 {
-    out.section("timeline");
-    out.u64(now_);
-    out.u64(dropped_);
-    out.u64(trackNames_.size());
-    for (const auto& [tid, label] : trackNames_) {
-        out.i64(tid);
-        out.str(label);
-    }
-    out.u64(events_.size());
-    for (const TraceEvent& ev : events_) {
-        out.str(ev.name);
-        out.str(ev.cat);
-        out.u8(static_cast<std::uint8_t>(ev.ph));
-        out.i64(ev.tid);
-        out.u64(ev.ts);
-        out.u64(ev.dur);
-        out.u64(ev.flowId);
-        out.u64(ev.args.size());
-        for (const auto& [name, value] : ev.args) {
-            out.str(name);
-            out.f64(value);
+    io.section("timeline");
+    io.u64(now_);
+    io.u64(dropped_);
+    io.sortedKeys(trackNames_, 1ULL << 20,
+                  [&io](int& tid, std::string& label) {
+                      io.as<std::int64_t>(tid);
+                      io.str(label);
+                  });
+    events_.resize(io.count(events_.size(), 1ULL << 28));
+    for (TraceEvent& ev : events_) {
+        io.str(ev.name);
+        io.str(ev.cat);
+        io.as<std::uint8_t>(ev.ph);
+        io.as<std::int64_t>(ev.tid);
+        io.u64(ev.ts);
+        io.u64(ev.dur);
+        io.u64(ev.flowId);
+        ev.args.resize(io.count(ev.args.size(), 1ULL << 16));
+        for (auto& [name, value] : ev.args) {
+            io.str(name);
+            io.f64(value);
         }
-    }
-}
-
-void
-TimelineRecorder::restoreState(snapshot::Deserializer& in)
-{
-    in.section("timeline");
-    now_ = in.u64();
-    dropped_ = in.u64();
-    trackNames_.clear();
-    const std::uint64_t n_tracks = in.count(1ULL << 20);
-    for (std::uint64_t i = 0; i < n_tracks; ++i) {
-        const int tid = static_cast<int>(in.i64());
-        trackNames_[tid] = in.str();
-    }
-    events_.clear();
-    const std::uint64_t n_events = in.count(1ULL << 28);
-    events_.reserve(n_events);
-    for (std::uint64_t i = 0; i < n_events; ++i) {
-        TraceEvent ev;
-        ev.name = in.str();
-        ev.cat = in.str();
-        ev.ph = static_cast<char>(in.u8());
-        ev.tid = static_cast<int>(in.i64());
-        ev.ts = in.u64();
-        ev.dur = in.u64();
-        ev.flowId = in.u64();
-        const std::uint64_t n_args = in.count(1ULL << 16);
-        ev.args.reserve(n_args);
-        for (std::uint64_t a = 0; a < n_args; ++a) {
-            std::string name = in.str();
-            const double value = in.f64();
-            ev.args.emplace_back(std::move(name), value);
-        }
-        events_.push_back(std::move(ev));
     }
 }
 

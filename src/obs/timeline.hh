@@ -118,13 +118,10 @@ class TimelineRecorder
     std::uint64_t dropped() const { return dropped_; }
 
     /**
-     * Serialize the full recorder state (stamp, events, track names,
-     * drop count) so a restored run replays to an identical trace.
+     * The full recorder state (stamp, events, track names, drop count)
+     * so a restored run replays to an identical trace.
      */
-    void saveState(snapshot::Serializer& out) const;
-
-    /** Counterpart of saveState. */
-    void restoreState(snapshot::Deserializer& in);
+    void transferState(snapshot::StateIO& io);
 
   private:
     bool admit();

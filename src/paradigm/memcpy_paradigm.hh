@@ -45,30 +45,19 @@ class MemcpyParadigm : public Paradigm
         return lastBarrierBytes_;
     }
 
-    void saveState(snapshot::Serializer& out) const override
+    void
+    transferState(snapshot::StateIO& io) override
     {
-        out.section("paradigm:memcpy");
-        out.u64(pendingBroadcasts_.size());
-        for (const BroadcastRange& r : pendingBroadcasts_) {
-            out.u32(r.src);
-            out.u64(r.base);
-            out.u64(r.len);
-        }
-        saveDirtyPages(out, dirtyPages_);
-        out.u64(lastBarrierBytes_);
-    }
-
-    void restoreState(snapshot::Deserializer& in) override
-    {
-        in.section("paradigm:memcpy");
-        pendingBroadcasts_.resize(in.count(1ULL << 24));
+        io.section("paradigm:memcpy");
+        pendingBroadcasts_.resize(
+            io.count(pendingBroadcasts_.size(), 1ULL << 24));
         for (BroadcastRange& r : pendingBroadcasts_) {
-            r.src = static_cast<GpuId>(in.u32());
-            r.base = in.u64();
-            r.len = in.u64();
+            io.as<std::uint32_t>(r.src);
+            io.u64(r.base);
+            io.u64(r.len);
         }
-        restoreDirtyPages(in, dirtyPages_);
-        lastBarrierBytes_ = in.u64();
+        transferDirtyPages(io, dirtyPages_);
+        io.u64(lastBarrierBytes_);
     }
 
   protected:

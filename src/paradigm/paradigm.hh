@@ -12,7 +12,6 @@
 #ifndef GPS_PARADIGM_PARADIGM_HH
 #define GPS_PARADIGM_PARADIGM_HH
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -188,19 +187,14 @@ class Paradigm : public SimObject
     }
 
     /**
-     * Serialize paradigm-owned mutable state (GPS queues and tables,
+     * Paradigm-owned mutable state (GPS queues and tables,
      * bulk-synchronous dirty tracking). The base implementation
      * persists nothing — stateless paradigms inherit it as-is.
      */
-    virtual void saveState(snapshot::Serializer& out) const
+    virtual void
+    transferState(snapshot::StateIO& io)
     {
-        out.section("paradigm:none");
-    }
-
-    /** Counterpart of saveState. */
-    virtual void restoreState(snapshot::Deserializer& in)
-    {
-        in.section("paradigm:none");
+        io.section("paradigm:none");
     }
 
   protected:
@@ -211,31 +205,15 @@ class Paradigm : public SimObject
                               TrafficMatrix& traffic) = 0;
 
     /**
-     * Serialize an unordered dirty-page set in ascending VPN order so
-     * snapshot bytes never depend on hash iteration order (the sets
+     * An unordered dirty-page set, in ascending VPN order (the sets
      * feed only commutative barrier work, so order is result-neutral).
      */
     static void
-    saveDirtyPages(snapshot::Serializer& out,
-                   const std::unordered_set<PageNum>& pages)
+    transferDirtyPages(snapshot::StateIO& io,
+                       std::unordered_set<PageNum>& pages)
     {
-        std::vector<PageNum> vpns(pages.begin(), pages.end());
-        std::sort(vpns.begin(), vpns.end());
-        out.u64(vpns.size());
-        for (const PageNum vpn : vpns)
-            out.u64(vpn);
-    }
-
-    /** Counterpart of saveDirtyPages. */
-    static void
-    restoreDirtyPages(snapshot::Deserializer& in,
-                      std::unordered_set<PageNum>& pages)
-    {
-        pages.clear();
-        const std::uint64_t n = in.count(1ULL << 40);
-        pages.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            pages.insert(in.u64());
+        io.sortedKeys(pages, 1ULL << 40,
+                      [&io](PageNum& vpn) { io.u64(vpn); });
     }
 
     MultiGpuSystem& sys() { return *system_; }

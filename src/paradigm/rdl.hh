@@ -29,16 +29,11 @@ class RdlParadigm : public Paradigm
     Tick atBarrier(KernelCounters& counters,
                    TrafficMatrix& barrier_traffic) override;
 
-    void saveState(snapshot::Serializer& out) const override
+    void
+    transferState(snapshot::StateIO& io) override
     {
-        out.section("paradigm:rdl");
-        saveDirtyPages(out, dirtyPages_);
-    }
-
-    void restoreState(snapshot::Deserializer& in) override
-    {
-        in.section("paradigm:rdl");
-        restoreDirtyPages(in, dirtyPages_);
+        io.section("paradigm:rdl");
+        transferDirtyPages(io, dirtyPages_);
     }
 
   protected:

@@ -28,16 +28,11 @@ class UmParadigm : public Paradigm
     Tick atBarrier(KernelCounters& counters,
                    TrafficMatrix& barrier_traffic) override;
 
-    void saveState(snapshot::Serializer& out) const override
+    void
+    transferState(snapshot::StateIO& io) override
     {
-        out.section("paradigm:um");
-        saveDirtyPages(out, dirtyPages_);
-    }
-
-    void restoreState(snapshot::Deserializer& in) override
-    {
-        in.section("paradigm:um");
-        restoreDirtyPages(in, dirtyPages_);
+        io.section("paradigm:um");
+        transferDirtyPages(io, dirtyPages_);
     }
 
   protected:

@@ -41,97 +41,73 @@ parseDecimal(const std::string& text, std::uint64_t& out)
 }
 
 void
-saveCounters(Serializer& out, const KernelCounters& c)
+transferMeta(StateIO& io, SnapshotMeta& meta)
 {
+    io.section("meta");
+    io.str(meta.workload);
+    io.u8(meta.paradigm);
+    io.u32(meta.numGpus);
+    io.u64(meta.pageBytes);
+    io.f64(meta.scale);
+    io.str(meta.stateKey);
+}
+
+void
+transferProgress(StateIO& io, RunnerProgress& p)
+{
+    io.section("progress");
+    io.u64(p.resumeIter);
+    io.u64(p.resumePhase);
+    io.u64(p.globalPhases);
+    io.u64(p.tBefore);
+    io.u64(p.bBefore);
     for (const auto& f : kernelCounterFields)
-        out.u64(c.*f.member);
+        io.u64(p.totals.*f.member);
+    io.u64s(p.iterTime, 1ULL << 32);
+    io.u64s(p.iterBytes, 1ULL << 32);
+    io.b(p.hasSubscriberHist);
+    io.u64s(p.histBuckets, 1ULL << 16);
+    io.b(p.hasObs);
+    io.str(p.obsState);
 }
 
+/**
+ * The machine-state sections, "events" through the paradigm. Loading
+ * overwrites a freshly constructed and set-up system.
+ */
 void
-restoreCounters(Deserializer& in, KernelCounters& c)
+transferMachine(StateIO& io, MultiGpuSystem& system, Paradigm& paradigm,
+                FaultEngine* faults)
 {
-    for (const auto& f : kernelCounterFields)
-        c.*f.member = in.u64();
-}
-
-void
-saveMeta(Serializer& out, const SnapshotMeta& meta)
-{
-    out.section("meta");
-    out.str(meta.workload);
-    out.u8(meta.paradigm);
-    out.u32(meta.numGpus);
-    out.u64(meta.pageBytes);
-    out.f64(meta.scale);
-    out.str(meta.stateKey);
-}
-
-void
-restoreMeta(Deserializer& in, SnapshotMeta& meta)
-{
-    in.section("meta");
-    meta.workload = in.str();
-    meta.paradigm = in.u8();
-    meta.numGpus = in.u32();
-    meta.pageBytes = in.u64();
-    meta.scale = in.f64();
-    meta.stateKey = in.str();
-}
-
-void
-saveProgress(Serializer& out, const RunnerProgress& p)
-{
-    out.section("progress");
-    out.u64(p.resumeIter);
-    out.u64(p.resumePhase);
-    out.u64(p.globalPhases);
-    out.u64(p.tBefore);
-    out.u64(p.bBefore);
-    saveCounters(out, p.totals);
-    out.u64(p.iterTime.size());
-    for (const Tick t : p.iterTime)
-        out.u64(t);
-    out.u64(p.iterBytes.size());
-    for (const std::uint64_t b : p.iterBytes)
-        out.u64(b);
-    out.b(p.hasSubscriberHist);
-    out.u64(p.histBuckets.size());
-    for (const std::uint64_t b : p.histBuckets)
-        out.u64(b);
-    out.b(p.hasObs);
-    out.str(p.obsState);
-}
-
-void
-restoreProgress(Deserializer& in, RunnerProgress& p)
-{
-    in.section("progress");
-    p.resumeIter = in.u64();
-    p.resumePhase = in.u64();
-    p.globalPhases = in.u64();
-    p.tBefore = in.u64();
-    p.bBefore = in.u64();
-    restoreCounters(in, p.totals);
-    p.iterTime.assign(in.count(1ULL << 32), 0);
-    for (Tick& t : p.iterTime)
-        t = in.u64();
-    p.iterBytes.assign(in.count(1ULL << 32), 0);
-    for (std::uint64_t& b : p.iterBytes)
-        b = in.u64();
-    p.hasSubscriberHist = in.b();
-    p.histBuckets.assign(in.count(1ULL << 16), 0);
-    for (std::uint64_t& b : p.histBuckets)
-        b = in.u64();
-    p.hasObs = in.b();
-    p.obsState = in.str();
+    io.section("events");
+    Tick now = system.now();
+    io.u64(now);
+    if (io.loading())
+        system.advanceTo(now);
+    system.topology().transferState(io);
+    for (std::size_t g = 0; g < system.numGpus(); ++g)
+        system.gpu(static_cast<GpuId>(g)).transferState(io);
+    system.driver().transferState(io);
+    bool had_faults = faults != nullptr;
+    io.b(had_faults);
+    if (had_faults != (faults != nullptr))
+        throw SnapshotError(
+            had_faults
+                ? "snapshot has fault-injection state but this run has "
+                  "no fault plan"
+                : "this run has a fault plan but the snapshot has no "
+                  "fault-injection state");
+    if (faults != nullptr)
+        faults->transferState(io);
+    paradigm.transferState(io);
 }
 
 /** The GPS paradigm behind @p paradigm, or nullptr for others. */
-const GpsParadigm*
-asGps(const Paradigm& paradigm)
+GpsParadigm*
+asGps(Paradigm& paradigm)
 {
     return paradigm.kind() == ParadigmKind::Gps
-               ? static_cast<const GpsParadigm*>(&paradigm)
+               ? static_cast<GpsParadigm*>(&paradigm)
                : nullptr;
 }
 
@@ -180,7 +156,7 @@ to_string(const SnapshotPoint& point)
 }
 
 std::string
-buildSummary(MultiGpuSystem& system, const Paradigm& paradigm)
+buildSummary(MultiGpuSystem& system, Paradigm& paradigm)
 {
     std::ostringstream os;
     system.driver().pageStates().forEach(
@@ -199,42 +175,34 @@ buildSummary(MultiGpuSystem& system, const Paradigm& paradigm)
            << " retired=" << mem.framesRetired()
            << " free=" << mem.framesFree() << '\n';
     }
-    if (const GpsParadigm* gps = asGps(paradigm)) {
+    if (GpsParadigm* gps = asGps(paradigm)) {
         for (std::size_t g = 0; g < system.numGpus(); ++g) {
             const RemoteWriteQueue& wq =
-                const_cast<GpsParadigm*>(gps)->writeQueue(
-                    static_cast<GpuId>(g));
+                gps->writeQueue(static_cast<GpuId>(g));
             os << "wq " << g << " occ=" << wq.occupancy()
                << " resident=" << wq.residentEntries()
                << " weight=" << wq.weightSum() << '\n';
         }
         os << "gpstable live="
-           << const_cast<GpsParadigm*>(gps)->gpsPageTable().size()
+           << gps->gpsPageTable().size()
            << '\n';
     }
     return os.str();
 }
 
 std::string
-encodeSnapshot(MultiGpuSystem& system, const Paradigm& paradigm,
-               const FaultEngine* faults, const SnapshotMeta& meta,
-               const RunnerProgress& progress)
+encodeSnapshot(MultiGpuSystem& system, Paradigm& paradigm,
+               FaultEngine* faults, SnapshotMeta meta,
+               RunnerProgress progress)
 {
     Serializer body;
-    saveMeta(body, meta);
-    saveProgress(body, progress);
-    body.section("events");
-    body.u64(system.now());
-    system.topology().saveState(body);
-    for (std::size_t g = 0; g < system.numGpus(); ++g)
-        system.gpu(static_cast<GpuId>(g)).saveState(body);
-    system.driver().saveState(body);
-    body.b(faults != nullptr);
-    if (faults != nullptr)
-        faults->saveState(body);
-    paradigm.saveState(body);
-    body.section("summary");
-    body.str(buildSummary(system, paradigm));
+    StateIO io(body);
+    transferMeta(io, meta);
+    transferProgress(io, progress);
+    transferMachine(io, system, paradigm, faults);
+    std::string summary = buildSummary(system, paradigm);
+    io.section("summary");
+    io.str(summary);
 
     Serializer file;
     for (const char c : magic)
@@ -279,8 +247,9 @@ decodeSnapshot(const std::string& bytes)
         throw SnapshotError("corrupt snapshot: body CRC mismatch");
 
     Deserializer body(snap.body);
-    restoreMeta(body, snap.meta);
-    restoreProgress(body, snap.progress);
+    StateIO io(body);
+    transferMeta(io, snap.meta);
+    transferProgress(io, snap.progress);
     return snap;
 }
 
@@ -345,31 +314,15 @@ applyState(const Snapshot& snap, MultiGpuSystem& system,
            Paradigm& paradigm, FaultEngine* faults, bool mutateForTest)
 {
     Deserializer in(snap.body);
+    StateIO io(in);
     SnapshotMeta meta;
     RunnerProgress progress;
-    restoreMeta(in, meta);
-    restoreProgress(in, progress);
-
-    in.section("events");
-    system.advanceTo(in.u64());
-    system.topology().restoreState(in);
-    for (std::size_t g = 0; g < system.numGpus(); ++g)
-        system.gpu(static_cast<GpuId>(g)).restoreState(in);
-    system.driver().restoreState(in);
-    const bool had_faults = in.b();
-    if (had_faults != (faults != nullptr))
-        throw SnapshotError(
-            had_faults
-                ? "snapshot has fault-injection state but this run has "
-                  "no fault plan"
-                : "this run has a fault plan but the snapshot has no "
-                  "fault-injection state");
-    if (faults != nullptr)
-        faults->restoreState(in);
-    paradigm.restoreState(in);
-
-    in.section("summary");
-    const std::string stored = in.str();
+    transferMeta(io, meta);
+    transferProgress(io, progress);
+    transferMachine(io, system, paradigm, faults);
+    std::string stored;
+    io.section("summary");
+    io.str(stored);
     if (!in.atEnd())
         throw SnapshotError("corrupt snapshot: trailing bytes after "
                             "the summary section");
@@ -406,8 +359,7 @@ applyState(const Snapshot& snap, MultiGpuSystem& system,
     }
 
     CheckReport report;
-    InvariantChecker checker(
-        system, const_cast<GpsParadigm*>(asGps(paradigm)));
+    InvariantChecker checker(system, asGps(paradigm));
     checker.runAll("restore", report);
     if (!report.ok())
         throw SnapshotError(

@@ -131,13 +131,12 @@ struct Snapshot
 /**
  * Encode the current quiescent state of @p system / @p paradigm /
  * @p faults (nullptr when no fault engine is active) into complete
- * snapshot file bytes (header + body).
+ * snapshot file bytes (header + body). Saving goes through each
+ * component's transferState and leaves the state unchanged.
  */
-std::string encodeSnapshot(MultiGpuSystem& system,
-                           const Paradigm& paradigm,
-                           const FaultEngine* faults,
-                           const SnapshotMeta& meta,
-                           const RunnerProgress& progress);
+std::string encodeSnapshot(MultiGpuSystem& system, Paradigm& paradigm,
+                           FaultEngine* faults, SnapshotMeta meta,
+                           RunnerProgress progress);
 
 /**
  * Validate the header (magic, version, length, CRC) and decode the
@@ -163,7 +162,7 @@ void writeSnapshotFile(const std::string& path, const std::string& bytes);
  * write-queue occupancy and page-table residency. Captured into the
  * snapshot and rebuilt at restore for byte comparison.
  */
-std::string buildSummary(MultiGpuSystem& system, const Paradigm& paradigm);
+std::string buildSummary(MultiGpuSystem& system, Paradigm& paradigm);
 
 /**
  * Overwrite a freshly constructed and set-up system with the machine

@@ -399,13 +399,16 @@ TEST_P(CacheOracle, SeededSequencesMatchTheReference)
                 // Round-trip through a snapshot into a fresh instance
                 // and carry on with the restored one.
                 snapshot::Serializer out;
-                cache->saveState(out);
+                snapshot::StateIO out_io(out);
+                cache->transferState(out_io);
                 auto restored = std::make_unique<CacheModel>(
                     "l2", shape.capacity, line, shape.ways);
                 snapshot::Deserializer in(out.bytes());
-                restored->restoreState(in);
+                snapshot::StateIO in_io(in);
+                restored->transferState(in_io);
                 snapshot::Serializer again;
-                restored->saveState(again);
+                snapshot::StateIO again_io(again);
+                restored->transferState(again_io);
                 ASSERT_EQ(again.bytes(), out.bytes()) << "op " << op;
                 cache = std::move(restored);
             }

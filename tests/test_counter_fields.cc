@@ -79,10 +79,12 @@ TEST(CounterFields, FaultReportRoundTripAndExport)
         report.*faultReportFields[i].member = fieldValue(i);
 
     snapshot::Serializer out;
-    engine.saveState(out);
+    snapshot::StateIO out_io(out);
+    engine.transferState(out_io);
     FaultEngine restored(FaultPlan{}, system);
     snapshot::Deserializer in(out.bytes());
-    restored.restoreState(in);
+    snapshot::StateIO in_io(in);
+    restored.transferState(in_io);
     EXPECT_TRUE(in.atEnd());
     for (const auto& f : faultReportFields)
         EXPECT_EQ(restored.report().*f.member, report.*f.member) << f.name;

@@ -186,18 +186,21 @@ TEST(NodeTopology, SnapshotRoundTripIsByteIdentical)
     topo.setPathState(0, 1, PathHealth::Down);
 
     snapshot::Serializer out;
-    topo.saveState(out);
+    snapshot::StateIO out_io(out);
+    topo.transferState(out_io);
 
     NodeTopology restored = makeTopo();
     snapshot::Deserializer in(out.bytes());
-    restored.restoreState(in);
+    snapshot::StateIO in_io(in);
+    restored.transferState(in_io);
     EXPECT_TRUE(in.atEnd());
     EXPECT_EQ(restored.totalCrossNodeBytes(),
               topo.totalCrossNodeBytes());
     EXPECT_EQ(restored.uplinkState(2).health, PathHealth::Degraded);
 
     snapshot::Serializer again;
-    restored.saveState(again);
+    snapshot::StateIO again_io(again);
+    restored.transferState(again_io);
     EXPECT_EQ(again.bytes(), out.bytes());
 }
 
@@ -205,7 +208,8 @@ TEST(NodeTopology, RestoreRejectsCorruptUplinkHealth)
 {
     NodeTopology topo = makeTopo();
     snapshot::Serializer out;
-    topo.saveState(out);
+    snapshot::StateIO out_io(out);
+    topo.transferState(out_io);
     // The serialization ends with numNodes (health u8, factor f64)
     // records; corrupt the last node's health byte.
     std::string bytes = out.bytes();
@@ -213,18 +217,21 @@ TEST(NodeTopology, RestoreRejectsCorruptUplinkHealth)
     bytes[bytes.size() - 9] = 7;
     NodeTopology restored = makeTopo();
     snapshot::Deserializer in(bytes);
-    EXPECT_THROW(restored.restoreState(in), snapshot::SnapshotError);
+    snapshot::StateIO in_io(in);
+    EXPECT_THROW(restored.transferState(in_io), snapshot::SnapshotError);
 }
 
 TEST(NodeTopology, RestoreRejectsWrongNodeCount)
 {
     NodeTopology topo = makeTopo();
     snapshot::Serializer out;
-    topo.saveState(out);
+    snapshot::StateIO out_io(out);
+    topo.transferState(out_io);
     NodeTopology other("ic", 16, 2, InterconnectKind::NvLink3,
                        InterconnectKind::IbNdr);
     snapshot::Deserializer in(out.bytes());
-    EXPECT_THROW(other.restoreState(in), snapshot::SnapshotError);
+    snapshot::StateIO in_io(in);
+    EXPECT_THROW(other.transferState(in_io), snapshot::SnapshotError);
 }
 
 TEST(NodeTopology, SingleNodeMatchesFlatTopology)
@@ -267,7 +274,8 @@ TEST(Topology, RestoreRejectsCorruptPathHealth)
     Topology topo("ic", 2, InterconnectKind::Pcie3);
     topo.setPathState(0, 1, PathHealth::Degraded, 0.5);
     snapshot::Serializer out;
-    topo.saveState(out);
+    snapshot::StateIO out_io(out);
+    topo.transferState(out_io);
     // Layout tail: ... u8(health) f64(factor) b(pcieFallback), so the
     // health byte of the single path record sits 10 bytes from the end.
     std::string bytes = out.bytes();
@@ -275,7 +283,8 @@ TEST(Topology, RestoreRejectsCorruptPathHealth)
     bytes[bytes.size() - 10] = 9;
     Topology restored("ic", 2, InterconnectKind::Pcie3);
     snapshot::Deserializer in(bytes);
-    EXPECT_THROW(restored.restoreState(in), snapshot::SnapshotError);
+    snapshot::StateIO in_io(in);
+    EXPECT_THROW(restored.transferState(in_io), snapshot::SnapshotError);
 }
 
 // --- System wiring and end-to-end equivalence ---

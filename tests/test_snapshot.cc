@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -19,7 +20,9 @@
 #include "api/result_export.hh"
 #include "api/runner.hh"
 #include "api/sweep.hh"
+#include "common/crc32.hh"
 #include "common/env.hh"
+#include "common/rng.hh"
 #include "snapshot/snapshot.hh"
 
 namespace gps
@@ -360,6 +363,195 @@ TEST_F(SnapshotCorruption, CaptureRefusesCheckAndProfileRuns)
     profiled.obs.profile = true;
     EXPECT_THROW((void)runWorkload("Jacobi", profiled),
                  snapshot::SnapshotError);
+}
+
+// ---------------------------------------------------------------------
+// Mutations that get past the CRC: the header is resealed around every
+// mutated body, so only the state functions, the length bounds and the
+// restore verification stand between a corrupt body and a resumed run.
+// ---------------------------------------------------------------------
+
+constexpr std::size_t snapshotHeaderBytes = 24;
+
+/** Section tags a GPS snapshot carries, in no particular order. */
+const std::vector<std::string> gpsSectionTags = {
+    "meta",      "progress", "events",       "topology", "gpu",
+    "cache",     "tlb",      "coalescer",    "physmem",  "driver",
+    "pagetable", "pagestate", "paradigm:gps", "gpstable", "subs",
+    "tracker",   "rwq",      "gpstu",        "summary"};
+
+class SnapshotMutation : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        base_ = smokeConfig(ParadigmKind::Gps, 4);
+        base_.system.gpu.l2CacheBytes = 64 * 1024;
+        auto [blob, json] =
+            captureAt("Jacobi", base_, {snapshot::AtKind::Profile, 0});
+        ASSERT_GT(blob->size(), snapshotHeaderBytes);
+        header_ = blob->substr(0, snapshotHeaderBytes);
+        body_ = blob->substr(snapshotHeaderBytes);
+        for (const std::string& name : gpsSectionTags)
+            for (std::size_t at = tagAt(name, 0); at != std::string::npos;
+                 at = tagAt(name, at + 1))
+                tags_.push_back(at);
+        std::sort(tags_.begin(), tags_.end());
+    }
+
+    /** Offset of the next @p name section tag at or after @p from. */
+    std::size_t
+    tagAt(const std::string& name, std::size_t from) const
+    {
+        snapshot::Serializer tag;
+        tag.section(name);
+        return body_.find(tag.bytes(), from);
+    }
+
+    /** Offset just past the first @p name section tag. */
+    std::size_t
+    afterTag(const std::string& name) const
+    {
+        const std::size_t at = tagAt(name, 0);
+        EXPECT_NE(at, std::string::npos) << name;
+        return at + 8 + name.size();
+    }
+
+    /** @p body behind a header with a matching length and CRC. */
+    std::string
+    reseal(const std::string& body) const
+    {
+        snapshot::Serializer out;
+        out.u64(body.size());
+        std::string file = header_.substr(0, 12);
+        const std::uint32_t crc = crc32Of(body);
+        for (int i = 0; i < 4; ++i)
+            file.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+        return file + out.bytes() + body;
+    }
+
+    /** body_ with the u64 at @p pos replaced by @p value. */
+    std::string
+    withU64(std::size_t pos, std::uint64_t value) const
+    {
+        snapshot::Serializer out;
+        out.u64(value);
+        std::string body = body_;
+        body.replace(pos, 8, out.bytes());
+        return body;
+    }
+
+    /**
+     * Restore @p body through the runner with a token that is already
+     * cancelled, so the run stops at its first iteration boundary after
+     * the restore. Returns true when the restore passed the summary and
+     * invariant verification, false when it was rejected with
+     * SnapshotError. Any other outcome fails the test.
+     */
+    bool
+    restores(const std::string& body, const std::string& what)
+    {
+        RunConfig config = base_;
+        config.restoreBlob =
+            std::make_shared<const std::string>(reseal(body));
+        config.cancel = std::make_shared<CancelToken>();
+        config.cancel->cancel();
+        try {
+            (void)runWorkload("Jacobi", config);
+            ADD_FAILURE() << what << ": the cancelled run completed";
+        } catch (const CancelledError&) {
+            return true;
+        } catch (const snapshot::SnapshotError&) {
+            return false;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << what << ": " << e.what();
+        }
+        return false;
+    }
+
+    RunConfig base_;
+    std::string header_;
+    std::string body_;
+    std::vector<std::size_t> tags_;
+};
+
+TEST_F(SnapshotMutation, ResealedBodyRestores)
+{
+    EXPECT_TRUE(restores(body_, "unmodified body"));
+}
+
+TEST_F(SnapshotMutation, LengthBeyondTheBodyIsRejected)
+{
+    // The GPS page-table length (after its base VPN) and the progress
+    // iteration-time length (after five u64 and the kernel counters)
+    // both sat under caps of 2^32 or more: each demanded tens of GiB
+    // before a single element was read.
+    const std::uint64_t huge = (1ULL << 32) - 1;
+    EXPECT_FALSE(restores(withU64(afterTag("gpstable") + 8, huge),
+                          "gpstable length"));
+    const std::size_t iter_time =
+        afterTag("progress") + 8 * (5 + kernelCounterFields.size());
+    EXPECT_THROW(
+        (void)snapshot::decodeSnapshot(reseal(withU64(iter_time, huge))),
+        snapshot::SnapshotError);
+}
+
+TEST_F(SnapshotMutation, SeededMutationsAreRejectedOrVerified)
+{
+    struct Case
+    {
+        std::string what;
+        std::string body;
+        bool mustReject;
+    };
+    std::vector<Case> cases;
+
+    // Truncation at each section tag.
+    for (const std::size_t at : tags_)
+        cases.push_back({"truncated at " + std::to_string(at),
+                         body_.substr(0, at), true});
+
+    // Oversized length fields: the first container length of each
+    // section that opens with one (after a base VPN for gpstable, after
+    // the GPU-count check for tracker).
+    const std::vector<std::pair<std::string, std::size_t>> lengths = {
+        {"pagetable", 0}, {"pagestate", 0}, {"rwq", 0},
+        {"gpstable", 8},  {"tracker", 8},  {"coalescer", 0}};
+    for (const auto& [name, skip] : lengths) {
+        const std::size_t pos = afterTag(name) + skip;
+        const std::uint64_t left = body_.size() - pos - 8;
+        for (const std::uint64_t n : {left + 1, left / 2,
+                                      std::uint64_t{0xffffffff},
+                                      std::uint64_t{1} << 63})
+            cases.push_back({name + " length " + std::to_string(n),
+                             withU64(pos, n), true});
+    }
+
+    // A resume iteration far past the workload's end.
+    cases.push_back({"resume iteration 2^40",
+                     withU64(afterTag("progress"), 1ULL << 40), true});
+
+    // Byte flips, spread evenly over the sections rather than the
+    // bytes (the L2 lines would otherwise take nearly every flip).
+    Rng rng(20260416);
+    while (cases.size() < 200) {
+        const std::size_t s = rng.below(tags_.size());
+        const std::size_t begin = tags_[s];
+        const std::size_t end =
+            s + 1 < tags_.size() ? tags_[s + 1] : body_.size();
+        const std::size_t pos = begin + rng.below(end - begin);
+        std::string body = body_;
+        body[pos] = static_cast<char>(body[pos] ^ (1 + rng.below(255)));
+        cases.push_back(
+            {"byte flip at " + std::to_string(pos), std::move(body),
+             false});
+    }
+
+    for (const Case& c : cases) {
+        const bool resumed = restores(c.body, c.what);
+        EXPECT_FALSE(c.mustReject && resumed) << c.what;
+    }
 }
 
 // Serializable collectors (metrics, timeline, causal) round-trip with
