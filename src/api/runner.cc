@@ -78,7 +78,7 @@ Runner::run(Workload& workload)
         system.declareStats(metrics);
         metrics.visit(*paradigm);
         if (fault_engine != nullptr)
-            fault_engine->registerMetrics(obs->registry());
+            metrics.visit(*fault_engine);
         if (TimelineRecorder* rec = obs->recorder()) {
             probes.recorder = rec;
             for (std::size_t g = 0; g < system.numGpus(); ++g)
@@ -415,7 +415,7 @@ Runner::run(Workload& workload)
         if (!fault_engine->done())
             gps_warn("fault plan has events beyond the simulated run; ",
                      "they were never injected");
-        fault_engine->report().exportStats(result.stats);
+        StatWriter(result.stats).visit(*fault_engine);
         result.faultReport = fault_engine->report();
         result.hasFaultReport = true;
         system.installFaultEngine(nullptr);

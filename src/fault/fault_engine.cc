@@ -4,7 +4,6 @@
 #include "common/logging.hh"
 #include "interconnect/topology.hh"
 #include "obs/causal/causal.hh"
-#include "obs/metric_registry.hh"
 #include "obs/observability.hh"
 #include "obs/timeline.hh"
 #include "paradigm/paradigm.hh"
@@ -13,7 +12,8 @@ namespace gps
 {
 
 FaultEngine::FaultEngine(FaultPlan plan, MultiGpuSystem& system)
-    : plan_(std::move(plan)), system_(&system), rng_(plan_.seed)
+    : SimObject("faults"), plan_(std::move(plan)), system_(&system),
+      rng_(plan_.seed)
 {
     plan_.sort();
     const std::size_t num_gpus = system.numGpus();
@@ -98,14 +98,10 @@ FaultEngine::apply(const FaultEvent& ev, Paradigm& paradigm)
 }
 
 void
-FaultEngine::registerMetrics(MetricRegistry& reg) const
+FaultEngine::declareStats(StatVisitor& v) const
 {
     for (const auto& f : faultReportFields)
-        if (f.metricUnit != nullptr)
-            reg.counter(std::string("fault.") + f.name, f.metricUnit,
-                        [this, member = f.member] {
-                            return static_cast<double>(report_.*member);
-                        });
+        v.counter(f.name, f.metricUnit, report_.*f.member);
 }
 
 } // namespace gps

@@ -16,18 +16,21 @@
 
 #include "common/rng.hh"
 #include "fault/fault_plan.hh"
+#include "sim/sim_object.hh"
 #include "snapshot/serial.hh"
 
 namespace gps
 {
 
-class MetricRegistry;
 class MultiGpuSystem;
 class Observability;
 class Paradigm;
 
-/** Deterministic, seeded fault injector. */
-class FaultEngine
+/**
+ * Deterministic, seeded fault injector. Its FaultReport counters are
+ * its stats, reported as "faults.<field name>".
+ */
+class FaultEngine : public SimObject
 {
   public:
     /**
@@ -54,12 +57,6 @@ class FaultEngine
     const FaultPlan& plan() const { return plan_; }
 
     /**
-     * Register the FaultReport counters that have a metric unit under
-     * the "fault." prefix.
-     */
-    void registerMetrics(MetricRegistry& reg) const;
-
-    /**
      * Injection progress: RNG stream position, report counters, and
      * the next-event cursor. The plan itself is rebuilt from the run
      * configuration at restore and must already match.
@@ -78,6 +75,8 @@ class FaultEngine
     }
 
   private:
+    void declareStats(StatVisitor& v) const override;
+
     void apply(const FaultEvent& ev, Paradigm& paradigm);
 
     FaultPlan plan_;

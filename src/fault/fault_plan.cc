@@ -7,7 +7,6 @@
 
 #include "common/gpu_mask.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "common/units.hh"
 
 namespace gps
@@ -159,14 +158,6 @@ FaultEvent::describe() const
         break;
     }
     return text;
-}
-
-void
-FaultReport::exportStats(StatSet& out) const
-{
-    for (const auto& f : faultReportFields)
-        out.set(std::string("faults.") + f.name,
-                static_cast<double>(this->*f.member));
 }
 
 FaultEvent

@@ -23,7 +23,6 @@
 namespace gps
 {
 
-class StatSet;
 
 /** What kind of adversity a FaultEvent injects. */
 enum class FaultKind : std::uint8_t {
@@ -67,14 +66,11 @@ struct FaultReport {
     std::uint64_t wqSaturations = 0;
     std::uint64_t wqSaturatedDrains = 0;
     Tick stallTicks = 0;
-
-    /** Set every counter into @p out as "faults.<field name>". */
-    void exportStats(StatSet& out) const;
 };
 
 /**
- * Every FaultReport member once, in snapshot order. The fields with a
- * metric unit are registered by FaultEngine::registerMetrics.
+ * Every FaultReport member once, in snapshot order, with its unit;
+ * FaultEngine::declareStats reports each as "faults.<name>".
  */
 inline constexpr std::array<CounterField<FaultReport>, 15>
     faultReportFields = {{
@@ -85,14 +81,14 @@ inline constexpr std::array<CounterField<FaultReport>, 15>
         {&FaultReport::reroutes, "reroutes", "flows"},
         {&FaultReport::reroutedBytes, "rerouted_bytes", "bytes"},
         {&FaultReport::pcieFallbacks, "pcie_fallbacks", "flows"},
-        {&FaultReport::pcieFallbackBytes, "pcie_fallback_bytes"},
+        {&FaultReport::pcieFallbackBytes, "pcie_fallback_bytes", "bytes"},
         {&FaultReport::pagesRetired, "pages_retired", "pages"},
         {&FaultReport::replicasLost, "replicas_lost", "pages"},
-        {&FaultReport::pagesDegraded, "pages_degraded"},
+        {&FaultReport::pagesDegraded, "pages_degraded", "pages"},
         {&FaultReport::resubscribes, "resubscribes", "pages"},
         {&FaultReport::wqSaturations, "wq_saturations", "events"},
-        {&FaultReport::wqSaturatedDrains, "wq_saturated_drains"},
-        {&FaultReport::stallTicks, "stall_ticks"},
+        {&FaultReport::wqSaturatedDrains, "wq_saturated_drains", "entries"},
+        {&FaultReport::stallTicks, "stall_ticks", "ticks"},
     }};
 
 static_assert(coversRecord(faultReportFields),

@@ -89,8 +89,10 @@ TEST(CounterFields, FaultReportRoundTripAndExport)
     for (const auto& f : faultReportFields)
         EXPECT_EQ(restored.report().*f.member, report.*f.member) << f.name;
 
+    // One declaration feeds both outputs: every field is a stat and a
+    // metric named "faults.<name>", with a unit.
     StatSet stats;
-    report.exportStats(stats);
+    StatWriter(stats).visit(engine);
     EXPECT_EQ(stats.all().size(), faultReportFields.size());
     for (const auto& f : faultReportFields)
         EXPECT_EQ(stats.get(std::string("faults.") + f.name),
@@ -98,19 +100,16 @@ TEST(CounterFields, FaultReportRoundTripAndExport)
             << f.name;
 
     MetricRegistry reg;
-    engine.registerMetrics(reg);
-    std::size_t metrics = 0;
+    MetricRegistrar(reg).visit(engine);
+    EXPECT_EQ(reg.size(), faultReportFields.size());
     for (const auto& f : faultReportFields) {
-        const MetricDef* def = reg.find(std::string("fault.") + f.name);
-        ASSERT_EQ(def != nullptr, f.metricUnit != nullptr) << f.name;
-        if (def == nullptr)
-            continue;
-        ++metrics;
+        const MetricDef* def = reg.find(std::string("faults.") + f.name);
+        ASSERT_NE(def, nullptr) << f.name;
+        ASSERT_NE(f.metricUnit, nullptr) << f.name;
         EXPECT_EQ(def->unit, f.metricUnit) << f.name;
         EXPECT_EQ(def->read(), static_cast<double>(report.*f.member))
             << f.name;
     }
-    EXPECT_EQ(reg.size(), metrics);
 }
 
 } // namespace

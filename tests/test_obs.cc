@@ -297,9 +297,6 @@ TEST(Observability, StatsAndMetricsAgree)
         for (const MetricValue& m : result.obs->finals)
             metrics.emplace(m.name, m.value);
         for (const auto& [name, value] : metrics) {
-            // The FaultEngine's counters are not a component's.
-            if (name.starts_with("fault."))
-                continue;
             if (result.stats.has(name)) {
                 EXPECT_EQ(value, result.stats.get(name))
                     << label << ": " << name;
@@ -315,9 +312,8 @@ TEST(Observability, StatsAndMetricsAgree)
                     << label << ": metric without a stat: " << name;
         }
         for (const auto& [name, value] : result.stats.all()) {
-            // Run totals and the fault report are not a component's.
-            if (metrics.count(name) != 0 || name.starts_with("totals.") ||
-                name.starts_with("faults."))
+            // Run totals are not a component's.
+            if (metrics.count(name) != 0 || name.starts_with("totals."))
                 continue;
             one_sided.insert(name);
             EXPECT_TRUE(statsOnlyName(name))
@@ -439,7 +435,7 @@ TEST(Observability, FaultEventsLandOnTheFaultTrack)
     EXPECT_TRUE(fault_event);
     bool injected = false;
     for (const MetricValue& m : result.obs->finals)
-        if (m.name == "fault.injected") {
+        if (m.name == "faults.injected") {
             injected = true;
             EXPECT_DOUBLE_EQ(m.value, 1.0);
         }
@@ -472,7 +468,7 @@ TEST(Observability, ObservedFaultedRunOutputsArePinned)
     EXPECT_EQ(result.faultReport.faultsInjected, 3u);
     EXPECT_EQ(result.obs->sampleTicks.size(), 30u);
 
-    EXPECT_EQ(crc32Of(metricsToJson(*result.obs)), 0xb6bea807u);
+    EXPECT_EQ(crc32Of(metricsToJson(*result.obs)), 0xcc5f916eu);
     EXPECT_EQ(crc32Of(timelineToJson(*result.obs)), 0xd7343415u);
     EXPECT_EQ(crc32Of(causalToJson(result.obs->causal)), 0x1b6f886fu);
     EXPECT_EQ(crc32Of(profileToJson(*result.obs)), 0x4d0f0f6eu);
