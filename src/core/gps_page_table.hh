@@ -15,6 +15,7 @@
 #define GPS_CORE_GPS_PAGE_TABLE_HH
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -114,10 +115,11 @@ class GpsPageTable : public SimObject
 
     /**
      * The dense PTE array (replica lists are ordered); loading replaces
-     * the current contents.
+     * the current contents and rejects a replica on a GPU at or beyond
+     * @p num_gpus (GPU ids index per-GPU state everywhere).
      */
     void
-    transferState(snapshot::StateIO& io)
+    transferState(snapshot::StateIO& io, std::size_t num_gpus)
     {
         io.section("gpstable");
         io.u64(base_);
@@ -127,6 +129,11 @@ class GpsPageTable : public SimObject
                 io.count(pte.replicas.size(), maxGpusPerReplicaList));
             for (GpsReplica& r : pte.replicas) {
                 io.as<std::uint32_t>(r.gpu);
+                if (r.gpu >= num_gpus)
+                    throw snapshot::SnapshotError(
+                        "corrupt snapshot: GPS replica on GPU " +
+                        std::to_string(r.gpu) + " of " +
+                        std::to_string(num_gpus));
                 io.u64(r.ppn);
             }
         }

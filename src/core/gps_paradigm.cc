@@ -536,7 +536,7 @@ GpsParadigm::transferState(snapshot::StateIO& io)
         gps_assert(pendingSlots_.empty(),
                    "snapshot taken with subscriber forwards pending");
     io.section("paradigm:gps");
-    gpsTable_->transferState(io);
+    gpsTable_->transferState(io, sys().numGpus());
     subs_->transferState(io);
     tracker_->transferState(io);
     io.expect(queues_.size(), "snapshot write-queue count differs from "
@@ -553,10 +553,7 @@ GpsParadigm::transferState(snapshot::StateIO& io)
                       io.u64(key);
                       io.u32(accesses);
                   });
-    chargedStallDrains_.resize(
-        io.count(chargedStallDrains_.size(), 1ULL << 20));
-    for (std::uint64_t& charged : chargedStallDrains_)
-        io.u64(charged);
+    io.u64s(chargedStallDrains_, 1ULL << 20);
     io.u64(uplinkForwards_);
 }
 

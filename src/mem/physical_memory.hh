@@ -93,9 +93,7 @@ class PhysicalMemory : public SimObject
         io.u64(framesRetired_);
         io.u64(bumpNext_);
         io.u64(bumpLimit_);
-        freeList_.resize(io.count(freeList_.size(), initialFrames_));
-        for (PageNum& ppn : freeList_)
-            io.u64(ppn);
+        io.u64s(freeList_, initialFrames_);
         inUse_.resize(io.count(inUse_.size(), initialFrames_));
         for (std::size_t i = 0; i < inUse_.size(); ++i) {
             bool used = inUse_[i];

@@ -66,10 +66,10 @@ class Tlb : public SimObject
     transferState(snapshot::StateIO& io)
     {
         io.section("tlb");
-        io.expect(sets_, "snapshot TLB geometry differs from the "
-                         "configured TLB");
-        io.expect(ways_, "snapshot TLB geometry differs from the "
-                         "configured TLB");
+        const char* geometry =
+            "snapshot TLB geometry differs from the configured TLB";
+        io.expect(sets_, geometry);
+        io.expect(ways_, geometry);
         for (Entry& e : entries_) {
             io.u64(e.vpn);
             io.b(e.valid);

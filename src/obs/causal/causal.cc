@@ -66,14 +66,8 @@ CausalRecorder::transferState(snapshot::StateIO& io)
             io.u64(k.ingressBytes);
             io.u64(k.gpuTime);
         }
-        ph.barrierEgress.resize(
-            io.count(ph.barrierEgress.size(), 1ULL << 24));
-        for (std::uint64_t& b : ph.barrierEgress)
-            io.u64(b);
-        ph.barrierIngress.resize(
-            io.count(ph.barrierIngress.size(), 1ULL << 24));
-        for (std::uint64_t& b : ph.barrierIngress)
-            io.u64(b);
+        io.u64s(ph.barrierEgress, 1ULL << 24);
+        io.u64s(ph.barrierIngress, 1ULL << 24);
     }
 
     data_.iterations.resize(

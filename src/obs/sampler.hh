@@ -72,9 +72,7 @@ class Sampler
     void
     transferState(snapshot::StateIO& io)
     {
-        ticks_.resize(io.count(ticks_.size(), 1ULL << 28));
-        for (Tick& t : ticks_)
-            io.u64(t);
+        io.u64s(ticks_, 1ULL << 28);
         columns_.resize(io.count(columns_.size(), 1ULL << 20));
         if (io.loading() && columns_.size() != registry_->metrics().size())
             throw snapshot::SnapshotError(

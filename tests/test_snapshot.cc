@@ -431,6 +431,15 @@ class SnapshotMutation : public ::testing::Test
         return file + out.bytes() + body;
     }
 
+    /** The u64 at @p pos of body_. */
+    std::uint64_t
+    u64At(std::size_t pos) const
+    {
+        const std::string bytes = body_.substr(pos, 8);
+        snapshot::Deserializer in(bytes);
+        return in.u64();
+    }
+
     /** body_ with the u64 at @p pos replaced by @p value. */
     std::string
     withU64(std::size_t pos, std::uint64_t value) const
@@ -527,6 +536,15 @@ TEST_F(SnapshotMutation, SeededMutationsAreRejectedOrVerified)
             cases.push_back({name + " length " + std::to_string(n),
                              withU64(pos, n), true});
     }
+
+    // A GPS replica on a GPU the 4-GPU system does not have: the first
+    // PTE with replicas holds (u64 count, u32 gpu, u64 ppn, ...).
+    std::size_t pte = afterTag("gpstable") + 16;
+    while (u64At(pte) == 0)
+        pte += 8;
+    std::string bad_gpu = body_;
+    bad_gpu[pte + 8] = 4;
+    cases.push_back({"replica on GPU 4", std::move(bad_gpu), true});
 
     // A resume iteration far past the workload's end.
     cases.push_back({"resume iteration 2^40",
