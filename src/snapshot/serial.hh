@@ -177,7 +177,7 @@ class Deserializer
     /**
      * Read an element count bounded by @p max and by the bytes left
      * (every element encodes to at least one byte), so a corrupt length
-     * cannot drive a multi-gigabyte allocation.
+     * cannot size a container beyond what the snapshot could fill.
      */
     std::uint64_t
     count(std::uint64_t max)
