@@ -475,5 +475,27 @@ TEST(Observability, ObservedFaultedRunOutputsArePinned)
     EXPECT_EQ(crc32Of(resultToJson(result, true)), 0xcdca908eu);
 }
 
+// The node tier times link egress/ingress over the uplinks, so the
+// per-kernel records of a multi-node run take a path the flat pins
+// above do not.
+TEST(Observability, ObservedTwoNodeRunOutputsArePinned)
+{
+    RunConfig config;
+    config.system.numGpus = 16;
+    config.system.numNodes = 2;
+    config.scale = 0.25;
+    config.paradigm = ParadigmKind::Memcpy;
+    config.obs.timeline = true;
+    config.obs.profile = true;
+    config.obs.causal = true;
+    const RunResult result = runWorkload("ALS", config);
+    ASSERT_NE(result.obs, nullptr);
+
+    EXPECT_EQ(crc32Of(causalToJson(result.obs->causal)), 0xdfcc0f32u);
+    EXPECT_EQ(crc32Of(profileToJson(*result.obs)), 0x401b828eu);
+    EXPECT_EQ(crc32Of(timelineToJson(*result.obs)), 0xf32fd2f3u);
+    EXPECT_EQ(crc32Of(resultToJson(result, true)), 0x10924abeu);
+}
+
 } // namespace
 } // namespace gps
