@@ -105,18 +105,10 @@ Runner::run(Workload& workload)
             });
         }
         if (CausalRecorder* causal = obs->causal()) {
-            CausalModel model;
-            const InterconnectSpec& spec = system.topology().spec();
-            model.linkBandwidth = spec.bandwidth;
-            model.linkInfinite = spec.infinite;
-            model.linkLatency = spec.latency;
-            model.headerBytes = spec.headerBytes;
-            model.cacheLineBytes = system.config().gpu.cacheLineBytes;
-            model.kernelLaunchOverhead =
-                system.config().gpu.kernelLaunchOverhead;
-            model.wqDrainScale = system.config().gps.wqDrainScale;
-            model.numGpus = system.numGpus();
-            causal->setModel(model);
+            causal->setModel(
+                {timingConstants(system.config().gpu,
+                                 system.topology().spec()),
+                 system.config().gps.wqDrainScale, system.numGpus()});
             probes.causal = causal;
         }
         obs->startSampling(system.now());
@@ -361,27 +353,13 @@ Runner::run(Workload& workload)
                  " was never reached; no snapshot written");
 
     // Extrapolate the simulated steady state to the full run length.
-    const std::size_t n_sim = iter_time.size();
-    Tick total_time = iter_time.empty() ? 0 : iter_time.front();
-    double total_bytes =
-        iter_bytes.empty() ? 0.0 : static_cast<double>(iter_bytes.front());
-    if (n_sim > 1) {
-        Tick steady_sum = 0;
-        double steady_bytes = 0.0;
-        for (std::size_t i = 1; i < n_sim; ++i) {
-            steady_sum += iter_time[i];
-            steady_bytes += static_cast<double>(iter_bytes[i]);
-        }
-        const double steady_count = static_cast<double>(n_sim - 1);
-        const double remaining =
-            static_cast<double>(eff_requested - 1);
-        total_time += static_cast<Tick>(
-            static_cast<double>(steady_sum) / steady_count * remaining);
-        total_bytes += steady_bytes / steady_count * remaining;
-    }
-
-    result.totalTime = total_time;
-    result.interconnectBytes = clampToUint64(total_bytes);
+    result.totalTime =
+        (iter_time.empty() ? 0 : iter_time.front()) +
+        static_cast<Tick>(steadyStateExtrapolation(iter_time, eff_requested));
+    result.interconnectBytes = clampToUint64(
+        (iter_bytes.empty() ? 0.0
+                            : static_cast<double>(iter_bytes.front())) +
+        steadyStateExtrapolation(iter_bytes, eff_requested));
     result.totals = totals;
 
     // Aggregate cache/TLB rates across GPUs.
@@ -557,75 +535,33 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
     if (faults != nullptr)
         topo.routeAroundFaults(traffic, faults->report());
 
-    // --- Timing: per-GPU bottleneck, then the barrier max. ---
-    // kernelTimeBreakdown().total is exactly kernelTime(); the
-    // intermediate terms only leave this loop when profiling is on.
+    // --- Timing: per-GPU bottleneck, then the barrier max. Each
+    // kernel's record goes to the profiler and the causal graph. ---
     ProfileCollector* prof = probes.profile;
     CausalRecorder* causal = probes.causal;
-    const Tick launch = system.config().gpu.kernelLaunchOverhead;
+    const TimingConstants constants =
+        timingConstants(system.config().gpu, topo.spec());
     Tick slowest = 0;
     std::vector<Tick> gpu_time(n, 0);
-    std::vector<CausalKernel> causal_kernels;
+    std::vector<KernelTiming> records;
     for (const Cursor& cursor : cursors) {
         const GpuId gpu = cursor.kernel->gpu;
-        const KernelTimeBreakdown bd =
-            system.gpu(gpu).kernelTimeBreakdown(counters[gpu], topo);
-        const Tick kernel_time = bd.total + launch;
+        KernelTiming k = system.gpu(gpu).kernelTiming(counters[gpu]);
+        const KernelTime t = k.time(constants);
         const Tick egress_time = topo.egressTime(traffic, gpu);
         const Tick ingress_time = topo.ingressTime(traffic, gpu);
-        gpu_time[gpu] =
-            std::max({kernel_time, egress_time, ingress_time});
-        slowest = std::max(slowest, gpu_time[gpu]);
-        if (causal != nullptr) {
-            // Mirror every input of the timing formula; remote stalls
-            // are kept as round-trip batch counts so the predictor can
-            // re-derive them under a scaled link.
-            const GpuConfig& gcfg = system.config().gpu;
-            CausalKernel ck;
-            ck.gpu = gpu;
-            ck.tCompute = bd.tCompute;
-            ck.tL2 = bd.tL2;
-            ck.tDram = bd.tDram;
-            ck.tWalks = bd.tWalks;
-            if (counters[gpu].remoteLoads > 0)
-                ck.batchesLoads = std::ceil(
-                    static_cast<double>(counters[gpu].remoteLoads) /
-                    static_cast<double>(gcfg.remoteLoadMlp));
-            if (counters[gpu].remoteAtomics > 0)
-                ck.batchesAtomics = std::ceil(
-                    static_cast<double>(counters[gpu].remoteAtomics) /
-                    static_cast<double>(gcfg.remoteAtomicMlp));
-            ck.tFaults = bd.tFaults;
-            ck.tShootdowns = bd.tShootdowns;
-            ck.tWqStall = bd.tWqStall;
-            ck.egressBytes = traffic.egress(gpu);
-            ck.ingressBytes = traffic.ingress(gpu);
-            ck.gpuTime = gpu_time[gpu];
-            causal_kernels.push_back(ck);
-        }
-        if (prof != nullptr) {
-            BottleneckProfile p;
-            p.phase = phase.name;
-            p.gpu = gpu;
-            p.tCompute = bd.tCompute;
-            p.tL2 = bd.tL2;
-            p.tDram = bd.tDram;
-            p.tWalks = bd.tWalks;
-            p.tRemote = bd.tRemote;
-            p.tFaults = bd.tFaults;
-            p.tShootdowns = bd.tShootdowns;
-            p.tWqStall = bd.tWqStall;
-            p.tEgress = egress_time;
-            p.tIngress = ingress_time;
-            p.total = gpu_time[gpu];
-            p.dramBytes = counters[gpu].dramBytes;
-            p.egressBytes = traffic.egress(gpu);
-            p.ingressBytes = traffic.ingress(gpu);
-            p.peakDramBps = system.config().gpu.dramBandwidth;
-            p.peakLinkBps =
-                topo.spec().infinite ? 0.0 : topo.spec().bandwidth;
-            prof->addKernel(std::move(p));
-        }
+        k.egressBytes = traffic.egress(gpu);
+        k.ingressBytes = traffic.ingress(gpu);
+        k.gpuTime = std::max({t.kernel, egress_time, ingress_time});
+        gpu_time[gpu] = k.gpuTime;
+        slowest = std::max(slowest, k.gpuTime);
+        if (prof != nullptr)
+            prof->addKernel(
+                {phase.name, k, t.remote, egress_time, ingress_time,
+                 counters[gpu].dramBytes, system.config().gpu.dramBandwidth,
+                 constants.linkInfinite ? 0.0 : constants.linkBandwidth});
+        if (causal != nullptr)
+            records.push_back(k);
     }
     topo.applyPhaseTraffic(traffic);
 
@@ -649,7 +585,7 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
         cp.barrierOverhead = barrier_overhead;
         cp.barrierTime = barrier_time;
         cp.phaseTime = phase_time;
-        cp.kernels = std::move(causal_kernels);
+        cp.kernels = std::move(records);
         cp.barrierEgress.reserve(n);
         cp.barrierIngress.reserve(n);
         for (std::size_t g = 0; g < n; ++g) {
@@ -714,6 +650,20 @@ runWorkload(const std::string& workload_name, const RunConfig& config)
 {
     Runner runner(config);
     return runner.runByName(workload_name);
+}
+
+double
+steadyStateExtrapolation(const std::vector<std::uint64_t>& samples,
+                         std::uint64_t effective)
+{
+    if (samples.size() < 2)
+        return 0.0;
+    std::uint64_t steady_sum = 0;
+    for (std::size_t i = 1; i < samples.size(); ++i)
+        steady_sum += samples[i];
+    return static_cast<double>(steady_sum) /
+           static_cast<double>(samples.size() - 1) *
+           static_cast<double>(effective - 1);
 }
 
 } // namespace gps

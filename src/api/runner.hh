@@ -155,6 +155,15 @@ class Runner
 RunResult runWorkload(const std::string& workload_name,
                       const RunConfig& config);
 
+/**
+ * Extrapolate per-iteration @p samples of the simulated window to a run
+ * of @p effective iterations: the first (cold) sample counts once, the
+ * mean of the rest (steady state) stands for every later iteration.
+ * @return the steady-state part, to add to samples.front().
+ */
+double steadyStateExtrapolation(const std::vector<std::uint64_t>& samples,
+                                std::uint64_t effective);
+
 } // namespace gps
 
 #endif // GPS_API_RUNNER_HH

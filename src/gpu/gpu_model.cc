@@ -57,87 +57,90 @@ GpuModel::tlbAccess(PageNum vpn, KernelCounters& counters)
 }
 
 Tick
-GpuModel::kernelTime(const KernelCounters& counters,
-                     const Topology& topology) const
+TimingConstants::linkTime(std::uint64_t bytes) const
 {
-    return kernelTimeBreakdown(counters, topology).total;
+    return linkInfinite ? 0 : transferTicks(bytes, linkBandwidth);
 }
 
-KernelTimeBreakdown
-GpuModel::kernelTimeBreakdown(const KernelCounters& counters,
-                              const Topology& topology) const
+KernelTime
+KernelTiming::time(const TimingConstants& c, double wq_drain) const
 {
-    KernelTimeBreakdown bd;
-    const double period = config_.clockPeriodTicks();
-
-    // Issue-throughput bound.
-    const double compute_cycles =
-        static_cast<double>(counters.computeInstrs) / config_.issueWidth();
-    bd.tCompute = static_cast<Tick>(compute_cycles * period);
-
-    // L2 throughput bound: every access moves one line through L2.
-    const std::uint64_t l2_bytes =
-        (counters.l2Hits + counters.l2Misses) *
-        static_cast<std::uint64_t>(config_.cacheLineBytes);
-    bd.tL2 = transferTicks(l2_bytes, config_.l2Bandwidth);
-
-    // Local DRAM bandwidth bound.
-    bd.tDram = transferTicks(counters.dramBytes, config_.dramBandwidth);
-
     // Remote demand loads and atomics: round-trip latency divided by
     // the parallelism the GPU can sustain. These sit on the dependence
     // critical path, so they extend the kernel rather than hiding under
     // it. Bandwidth occupancy of the responses is charged at the phase
     // level through the traffic matrix.
-    if (!topology.spec().infinite) {
-        const Tick line_time =
-            topology.linkTime(config_.cacheLineBytes +
-                              topology.spec().headerBytes);
-        const Tick round_trip = 2 * topology.latency() + line_time;
-        if (counters.remoteLoads > 0) {
-            const double batches =
-                std::ceil(static_cast<double>(counters.remoteLoads) /
-                          static_cast<double>(config_.remoteLoadMlp));
-            bd.tRemote += static_cast<Tick>(
-                batches * static_cast<double>(round_trip));
-        }
-        if (counters.remoteAtomics > 0) {
-            const double batches = std::ceil(
-                static_cast<double>(counters.remoteAtomics) /
-                static_cast<double>(config_.remoteAtomicMlp));
-            bd.tRemote += static_cast<Tick>(
-                batches * static_cast<double>(round_trip));
-        }
+    KernelTime t;
+    if (!c.linkInfinite) {
+        const Tick round_trip =
+            2 * c.linkLatency + c.linkTime(c.cacheLineBytes + c.headerBytes);
+        for (const double batches : {batchesLoads, batchesAtomics})
+            if (batches > 0.0)
+                t.remote += static_cast<Tick>(
+                    batches * static_cast<double>(round_trip));
     }
+    const Tick wq_stall =
+        wq_drain == 1.0
+            ? tWqStall
+            : static_cast<Tick>(static_cast<double>(tWqStall) / wq_drain);
+    t.kernel = core() + t.remote + tFaults + tShootdowns + wq_stall +
+               c.kernelLaunchOverhead;
+    return t;
+}
+
+TimingConstants
+timingConstants(const GpuConfig& gpu, const InterconnectSpec& link)
+{
+    return {link.bandwidth,       link.infinite,
+            link.latency,         link.headerBytes,
+            gpu.cacheLineBytes,   gpu.kernelLaunchOverhead};
+}
+
+KernelTiming
+GpuModel::kernelTiming(const KernelCounters& counters) const
+{
+    // Whole batches of @p n operations, @p per_batch at a time.
+    const auto batches = [](std::uint64_t n, std::uint32_t per_batch) {
+        return n == 0 ? 0.0
+                      : std::ceil(static_cast<double>(n) /
+                                  static_cast<double>(per_batch));
+    };
+    KernelTiming k;
+    k.gpu = id_;
+
+    // Issue-throughput bound.
+    const double compute_cycles =
+        static_cast<double>(counters.computeInstrs) / config_.issueWidth();
+    k.tCompute =
+        static_cast<Tick>(compute_cycles * config_.clockPeriodTicks());
+
+    // L2 throughput bound: every access moves one line through L2.
+    const std::uint64_t l2_bytes =
+        (counters.l2Hits + counters.l2Misses) *
+        static_cast<std::uint64_t>(config_.cacheLineBytes);
+    k.tL2 = transferTicks(l2_bytes, config_.l2Bandwidth);
+
+    // Local DRAM bandwidth bound.
+    k.tDram = transferTicks(counters.dramBytes, config_.dramBandwidth);
 
     // Conventional page walks, overlapped across walkers.
-    bd.tWalks = static_cast<Tick>(
+    k.tWalks = static_cast<Tick>(
         static_cast<double>(counters.tlbMisses) *
         static_cast<double>(config_.pageWalkLatency) /
         static_cast<double>(faultTiming_.walkConcurrency));
 
-    // Overlappable bounds compose as a max; remote stalls extend it.
-    Tick t_core =
-        std::max({bd.tCompute, bd.tL2, bd.tDram, bd.tWalks}) + bd.tRemote;
+    k.batchesLoads = batches(counters.remoteLoads, config_.remoteLoadMlp);
+    k.batchesAtomics =
+        batches(counters.remoteAtomics, config_.remoteAtomicMlp);
 
-    // Serialized stalls: page faults (batched) and TLB shootdowns.
-    if (counters.pageFaults > 0) {
-        const double batches =
-            std::ceil(static_cast<double>(counters.pageFaults) /
-                      static_cast<double>(faultTiming_.faultConcurrency));
-        bd.tFaults = static_cast<Tick>(
-            batches * static_cast<double>(faultTiming_.faultLatency));
-        t_core += bd.tFaults;
-    }
-    bd.tShootdowns = counters.tlbShootdowns * faultTiming_.shootdownLatency;
-    t_core += bd.tShootdowns;
-
-    // Saturated-WQ drains stall the producing SM serially.
-    bd.tWqStall = counters.wqStallTicks;
-    t_core += bd.tWqStall;
-
-    bd.total = t_core;
-    return bd;
+    // Serialized stalls: page faults (batched), TLB shootdowns, and
+    // saturated-WQ drains stalling the producing SM.
+    k.tFaults = static_cast<Tick>(
+        batches(counters.pageFaults, faultTiming_.faultConcurrency) *
+        static_cast<double>(faultTiming_.faultLatency));
+    k.tShootdowns = counters.tlbShootdowns * faultTiming_.shootdownLatency;
+    k.tWqStall = counters.wqStallTicks;
+    return k;
 }
 
 void

@@ -1,14 +1,15 @@
 /**
  * @file
  * Per-GPU model: memory-side structures (L2, TLB, SM store coalescer,
- * physical memory) plus the analytic kernel timing formula.
+ * physical memory) plus the service demands of the analytic kernel
+ * timing formula (gpu/kernel_timing.hh).
  *
  * Timing abstraction: a kernel's duration is the maximum of its bottleneck
- * terms (issue throughput, L2 throughput, local DRAM bandwidth, remote
- * demand-load latency, TLB page walks) plus serialized terms that stall
- * the GPU outright (page-fault handling, TLB shootdowns). Interconnect
- * bandwidth terms are applied at phase level by the runner, which knows
- * the full traffic matrix of concurrently executing kernels.
+ * terms (issue throughput, L2 throughput, local DRAM bandwidth, TLB page
+ * walks) plus remote demand-load round trips and serialized terms that
+ * stall the GPU outright (page-fault handling, TLB shootdowns).
+ * Interconnect bandwidth terms are applied at phase level by the runner,
+ * which knows the full traffic matrix of concurrently executing kernels.
  */
 
 #ifndef GPS_GPU_GPU_MODEL_HH
@@ -21,8 +22,9 @@
 #include "common/types.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/kernel_counters.hh"
+#include "gpu/kernel_timing.hh"
 #include "gpu/store_coalescer.hh"
-#include "interconnect/topology.hh"
+#include "interconnect/pcie.hh"
 #include "mem/page.hh"
 #include "mem/physical_memory.hh"
 #include "mem/tlb.hh"
@@ -47,24 +49,9 @@ struct FaultTiming
     std::uint32_t walkConcurrency = 8;
 };
 
-/**
- * The per-resource service demands behind one kernelTime() result.
- * Overlappable bounds (compute, L2, DRAM, walks) compose as a max;
- * remote stalls and the serialized terms extend it. `total` is exactly
- * what kernelTime() returns.
- */
-struct KernelTimeBreakdown
-{
-    Tick tCompute = 0;
-    Tick tL2 = 0;
-    Tick tDram = 0;
-    Tick tWalks = 0;
-    Tick tRemote = 0;
-    Tick tFaults = 0;
-    Tick tShootdowns = 0;
-    Tick tWqStall = 0;
-    Tick total = 0;
-};
+/** The kernel-time formula's constants for GPUs @p gpu on @p link. */
+TimingConstants timingConstants(const GpuConfig& gpu,
+                                const InterconnectSpec& link);
 
 /** One GPU of the simulated system. */
 class GpuModel : public SimObject
@@ -97,16 +84,11 @@ class GpuModel : public SimObject
     bool tlbAccess(PageNum vpn, KernelCounters& counters);
 
     /**
-     * Analytic duration of a kernel with the given event counts.
-     * @param counters replayed event counts
-     * @param topology interconnect (for remote-load latency)
+     * The timing record of a kernel with the given event counts: its
+     * service demands, remote batch counts and serialized terms (the
+     * runner adds the link terms and gpuTime).
      */
-    Tick kernelTime(const KernelCounters& counters,
-                    const Topology& topology) const;
-
-    /** kernelTime() with every intermediate term exposed (profiling). */
-    KernelTimeBreakdown kernelTimeBreakdown(
-        const KernelCounters& counters, const Topology& topology) const;
+    KernelTiming kernelTiming(const KernelCounters& counters) const;
 
     const FaultTiming& faultTiming() const { return faultTiming_; }
 

@@ -51,7 +51,7 @@ CausalRecorder::transferState(snapshot::StateIO& io)
         io.u64(ph.barrierTime);
         io.u64(ph.phaseTime);
         ph.kernels.resize(io.count(ph.kernels.size(), 1ULL << 24));
-        for (CausalKernel& k : ph.kernels) {
+        for (KernelTiming& k : ph.kernels) {
             io.u32(k.gpu);
             io.u64(k.tCompute);
             io.u64(k.tL2);
@@ -85,41 +85,24 @@ CausalRecorder::transferState(snapshot::StateIO& io)
     io.b(openValid_);
 }
 
+const KernelTiming*
+CausalPhase::winner() const
+{
+    const KernelTiming* best = nullptr;
+    for (const KernelTiming& k : kernels)
+        if (best == nullptr || k.gpuTime > best->gpuTime)
+            best = &k;
+    return best;
+}
+
 namespace
 {
 
-Tick
-modelLinkTime(const CausalModel& m, std::uint64_t bytes)
-{
-    if (m.linkInfinite)
-        return 0;
-    return transferTicks(bytes, m.linkBandwidth);
-}
-
-/** Mirror of GpuModel::kernelTimeBreakdown's remote-stall term. */
-Tick
-modelRemoteTime(const CausalModel& m, const CausalKernel& k)
-{
-    if (m.linkInfinite)
-        return 0;
-    const Tick line_time =
-        modelLinkTime(m, m.cacheLineBytes + m.headerBytes);
-    const Tick round_trip = 2 * m.linkLatency + line_time;
-    Tick t = 0;
-    if (k.batchesLoads > 0.0)
-        t += static_cast<Tick>(k.batchesLoads *
-                               static_cast<double>(round_trip));
-    if (k.batchesAtomics > 0.0)
-        t += static_cast<Tick>(k.batchesAtomics *
-                               static_cast<double>(round_trip));
-    return t;
-}
-
 const char*
-coreLane(const CausalKernel& k)
+coreLane(const KernelTiming& k)
 {
-    // Mirror std::max({tCompute, tL2, tDram, tWalks}): first largest.
-    const Tick m = std::max({k.tCompute, k.tL2, k.tDram, k.tWalks});
+    // The first of the overlappable bounds equal to their max.
+    const Tick m = k.core();
     if (k.tCompute == m)
         return "compute";
     if (k.tL2 == m)
@@ -160,24 +143,15 @@ analyzeCriticalPath(const CausalReport& report)
 
         const Tick slowest =
             ph.phaseTime - ph.prefetchTime - ph.barrierTime;
-        if (ph.kernels.empty()) {
+        if (const KernelTiming* winner = ph.winner(); winner == nullptr) {
             emit(ph.name, ph.iter, "other", -1, cursor, slowest);
         } else {
-            // Mirror the runner: first GPU reaching the phase maximum.
-            const CausalKernel* winner = &ph.kernels.front();
-            for (const CausalKernel& k : ph.kernels)
-                if (k.gpuTime > winner->gpuTime)
-                    winner = &k;
-            const CausalKernel& k = *winner;
+            const KernelTiming& k = *winner;
             const int gpu = static_cast<int>(k.gpu);
-            const Tick remote = modelRemoteTime(m, k);
-            const Tick core =
-                std::max({k.tCompute, k.tL2, k.tDram, k.tWalks});
-            const Tick kernel_time = core + remote + k.tFaults +
-                                     k.tShootdowns + k.tWqStall +
-                                     m.kernelLaunchOverhead;
-            const Tick egress = modelLinkTime(m, k.egressBytes);
-            const Tick ingress = modelLinkTime(m, k.ingressBytes);
+            const auto [remote, kernel_time] = k.time(m);
+            const Tick core = k.core();
+            const Tick egress = m.linkTime(k.egressBytes);
+            const Tick ingress = m.linkTime(k.ingressBytes);
             if (kernel_time >= egress && kernel_time >= ingress) {
                 emit(ph.name, ph.iter, coreLane(k), gpu, cursor, core);
                 cursor += core;
@@ -284,7 +258,7 @@ causalToJson(const CausalReport& report)
         w.field("barrier_time", ph.barrierTime);
         w.field("phase_time", ph.phaseTime);
         w.key("kernels").beginArray();
-        for (const CausalKernel& k : ph.kernels) {
+        for (const KernelTiming& k : ph.kernels) {
             w.beginObject();
             w.field("gpu", static_cast<std::uint64_t>(k.gpu));
             w.field("t_compute", k.tCompute);

@@ -3,14 +3,14 @@
  * Causal dependency recorder: the raw material for critical-path
  * analysis and what-if speedup prediction.
  *
- * The runner mirrors every input of its phase-timing formula into a
- * bounded program-activity graph: per-kernel service demands (with the
- * remote round-trip *batch counts* rather than their tick products, so
- * a predictor can re-derive latency terms under a different link), the
- * post-reroute wire bytes behind every link-time term, and the fixed
- * serialized overheads. Dependency edges observed below the runner
- * (link transfer -> RWQ insert -> drain, migration -> stall,
- * fault -> reroute) arrive through noteDep from the write queues,
+ * The runner records every input of its phase-timing formula into a
+ * bounded program-activity graph: each kernel's KernelTiming record
+ * (with the remote round-trip *batch counts* rather than their tick
+ * products, so a predictor can re-derive latency terms under a
+ * different link), the post-reroute wire bytes behind every link-time
+ * term, and the fixed serialized overheads. Dependency edges observed
+ * below the runner (link transfer -> RWQ insert -> drain, migration ->
+ * stall, fault -> reroute) arrive through noteDep from the write queues,
  * interconnect, driver and fault engine via the system's Probes record;
  * the runner adds one completion -> barrier edge per timed kernel.
  *
@@ -28,22 +28,18 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "gpu/kernel_timing.hh"
 #include "snapshot/serial.hh"
 
 namespace gps
 {
 
-/** Timing-model constants the predictor needs to replay the graph. */
-struct CausalModel
+/**
+ * Timing-model constants the predictor needs to replay the graph: the
+ * kernel-time formula's link and launch constants plus the run's.
+ */
+struct CausalModel : TimingConstants
 {
-    /** Link bandwidth in effect during the run (post scaling). */
-    double linkBandwidth = 0.0;
-    bool linkInfinite = false;
-    Tick linkLatency = 0;
-    std::uint32_t headerBytes = 0;
-    std::uint32_t cacheLineBytes = 0;
-    Tick kernelLaunchOverhead = 0;
-
     /** RWQ drain-stall divisor in effect during the run. */
     double wqDrainScale = 1.0;
 
@@ -51,34 +47,6 @@ struct CausalModel
 
     /** Full run length the recorded window extrapolates to. */
     std::uint64_t effectiveIterations = 1;
-};
-
-/** One kernel's contribution to a phase (timing-formula inputs). */
-struct CausalKernel
-{
-    std::uint32_t gpu = 0;
-
-    // Overlappable core bounds (compose as a max, link-independent).
-    Tick tCompute = 0;
-    Tick tL2 = 0;
-    Tick tDram = 0;
-    Tick tWalks = 0;
-
-    /** Remote load/atomic round-trip batch counts (ceil'd doubles). */
-    double batchesLoads = 0.0;
-    double batchesAtomics = 0.0;
-
-    // Serialized terms. tWqStall is at the recorded wqDrainScale.
-    Tick tFaults = 0;
-    Tick tShootdowns = 0;
-    Tick tWqStall = 0;
-
-    /** Post-reroute wire bytes behind this GPU's link-time terms. */
-    std::uint64_t egressBytes = 0;
-    std::uint64_t ingressBytes = 0;
-
-    /** Recorded max(kernel, egress, ingress) for this GPU. */
-    Tick gpuTime = 0;
 };
 
 /** One recorded phase: every input of the phase-time formula. */
@@ -92,11 +60,17 @@ struct CausalPhase
     Tick barrierTime = 0; ///< busiest barrier link + overhead
     Tick phaseTime = 0;   ///< prefetch + slowest + barrier
 
-    std::vector<CausalKernel> kernels;
+    std::vector<KernelTiming> kernels;
 
     /** Post-reroute per-GPU barrier wire bytes. */
     std::vector<std::uint64_t> barrierEgress;
     std::vector<std::uint64_t> barrierIngress;
+
+    /**
+     * The kernel that set the phase time: the first one reaching the
+     * largest gpuTime (nullptr for a phase without kernels).
+     */
+    const KernelTiming* winner() const;
 };
 
 /** One simulated iteration's time window. */

@@ -72,58 +72,24 @@ Tick
 predictPhase(const CausalModel& m, const CausalPhase& ph,
              const WhatIfSpec& spec)
 {
-    const double bw = m.linkBandwidth * spec.linkBw;
-    const auto link_time = [&](std::uint64_t bytes) -> Tick {
-        if (m.linkInfinite)
-            return 0;
-        return transferTicks(bytes, bw);
-    };
-
-    // Remote round-trip under the scaled link, mirroring
-    // GpuModel::kernelTimeBreakdown's casts exactly.
-    Tick round_trip = 0;
-    if (!m.linkInfinite) {
-        const Tick line_time =
-            link_time(m.cacheLineBytes + m.headerBytes);
-        round_trip = 2 * m.linkLatency + line_time;
-    }
+    TimingConstants link = m;
+    link.linkBandwidth *= spec.linkBw;
 
     Tick slowest = 0;
-    for (const CausalKernel& k : ph.kernels) {
-        Tick remote = 0;
-        if (!m.linkInfinite) {
-            if (k.batchesLoads > 0.0)
-                remote += static_cast<Tick>(
-                    k.batchesLoads * static_cast<double>(round_trip));
-            if (k.batchesAtomics > 0.0)
-                remote += static_cast<Tick>(
-                    k.batchesAtomics * static_cast<double>(round_trip));
-        }
-        const Tick wq_stall =
-            spec.rwqDrain == 1.0
-                ? k.tWqStall
-                : static_cast<Tick>(static_cast<double>(k.tWqStall) /
-                                    spec.rwqDrain);
-        const Tick kernel_time =
-            std::max({k.tCompute, k.tL2, k.tDram, k.tWalks}) + remote +
-            k.tFaults + k.tShootdowns + wq_stall +
-            m.kernelLaunchOverhead;
-        const Tick gpu_time =
-            std::max({kernel_time, link_time(k.egressBytes),
-                      link_time(k.ingressBytes)});
-        slowest = std::max(slowest, gpu_time);
-    }
+    for (const KernelTiming& k : ph.kernels)
+        slowest = std::max({slowest, k.time(link, spec.rwqDrain).kernel,
+                            link.linkTime(k.egressBytes),
+                            link.linkTime(k.ingressBytes)});
 
     Tick barrier_wire = 0;
-    for (const std::uint64_t bytes : ph.barrierEgress)
-        barrier_wire = std::max(barrier_wire, link_time(bytes));
-    for (const std::uint64_t bytes : ph.barrierIngress)
-        barrier_wire = std::max(barrier_wire, link_time(bytes));
+    for (const auto* bytes : {&ph.barrierEgress, &ph.barrierIngress})
+        for (const std::uint64_t b : *bytes)
+            barrier_wire = std::max(barrier_wire, link.linkTime(b));
     return ph.prefetchTime + slowest + barrier_wire +
            ph.barrierOverhead;
 }
 
-/** End-to-end time under @p spec, mirroring the runner's loop. */
+/** End-to-end time under @p spec, extrapolated as the runner does. */
 Tick
 predictTotal(const CausalReport& report, const WhatIfSpec& spec)
 {
@@ -140,27 +106,13 @@ predictTotal(const CausalReport& report, const WhatIfSpec& spec)
     iter_time.reserve(report.iterations.size());
     for (const CausalIteration& it : report.iterations) {
         const Tick window = it.end - it.start;
-        const Tick rec = recorded.count(it.iter) ? recorded[it.iter] : 0;
-        const Tick pred =
-            predicted.count(it.iter) ? predicted[it.iter] : 0;
-        const Tick residual = window > rec ? window - rec : 0;
-        iter_time.push_back(pred + residual);
+        const Tick rec = recorded[it.iter];
+        iter_time.push_back(predicted[it.iter] +
+                            (window > rec ? window - rec : 0));
     }
-
-    // Extrapolation arithmetic copied from Runner::run verbatim.
-    const std::size_t n_sim = iter_time.size();
-    Tick total_time = iter_time.empty() ? 0 : iter_time.front();
-    if (n_sim > 1) {
-        Tick steady_sum = 0;
-        for (std::size_t i = 1; i < n_sim; ++i)
-            steady_sum += iter_time[i];
-        const double steady_count = static_cast<double>(n_sim - 1);
-        const double remaining = static_cast<double>(
-            report.model.effectiveIterations - 1);
-        total_time += static_cast<Tick>(
-            static_cast<double>(steady_sum) / steady_count * remaining);
-    }
-    return total_time;
+    return (iter_time.empty() ? 0 : iter_time.front()) +
+           static_cast<Tick>(steadyStateExtrapolation(
+               iter_time, report.model.effectiveIterations));
 }
 
 } // namespace
@@ -199,11 +151,20 @@ validateWhatIf(const std::string& workload_name, const RunConfig& base,
     WhatIfValidation out;
     out.traced = base_result.obs->causal;
     out.prediction = predictWhatIf(base_result.obs->causal, spec);
-    if (out.prediction.baseTime != base_result.totalTime)
-        gps_warn("causal replay covers ", out.prediction.baseTime,
-                 " of ", base_result.totalTime,
-                 " recorded ticks (phases dropped past the cap?); "
-                 "predictions are partial");
+    if (out.prediction.baseTime != base_result.totalTime) {
+        if (out.traced.droppedPhases > 0)
+            gps_warn("causal replay covers ", out.prediction.baseTime,
+                     " of ", base_result.totalTime, " recorded ticks (",
+                     out.traced.droppedPhases,
+                     " phases dropped past the cap); predictions are "
+                     "partial");
+        else
+            gps_warn("causal replay covers ", out.prediction.baseTime,
+                     " of ", base_result.totalTime,
+                     " recorded ticks: it times links per GPU and does "
+                     "not see node-uplink serialization; predictions "
+                     "for multi-node runs are approximate");
+    }
 
     RunConfig scaled = base;
     scaled.obs = ObsConfig{};

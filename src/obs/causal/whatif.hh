@@ -7,9 +7,12 @@
  * terms are *recomputed* from the recorded wire-byte counts at the
  * scaled bandwidth (transferTicks rounds up, so scaling recorded times
  * would drift), remote round-trips are rebuilt from the recorded batch
- * counts, and RWQ drain stalls divide by the drain-speed factor. At
- * unit factors the prediction reproduces the recorded end-to-end time
- * exactly, tick for tick.
+ * counts, and RWQ drain stalls divide by the drain-speed factor. The
+ * kernel terms come from the same KernelTiming::time() the runner
+ * calls. At unit factors the prediction of a single-node run
+ * reproduces the recorded end-to-end time exactly, tick for tick; on a
+ * multi-node run the replay times every link at the intra-node rate,
+ * so node-uplink serialization is missing from it.
  *
  * validateWhatIf closes the loop: it runs the workload once with
  * causal tracing on, predicts, then re-runs for real with the scaled

@@ -33,7 +33,7 @@ namespace
 
 /**
  * Draw one Perfetto flow arrow per recorded phase, from the completion
- * of the phase-time-defining kernel (the runner's first-argmax winner)
+ * of the phase-time-defining kernel (CausalPhase::winner)
  * to the phase boundary on the system track.
  */
 void
@@ -42,12 +42,9 @@ emitCriticalFlows(const CausalReport& causal, TimelineRecorder& recorder)
     std::uint64_t flow_id = 0;
     for (const CausalPhase& phase : causal.phases) {
         ++flow_id;
-        if (phase.kernels.empty())
+        const KernelTiming* winner = phase.winner();
+        if (winner == nullptr)
             continue;
-        const CausalKernel* winner = &phase.kernels.front();
-        for (const CausalKernel& k : phase.kernels)
-            if (k.gpuTime > winner->gpuTime)
-                winner = &k;
         const Tick done =
             phase.start + phase.prefetchTime + winner->gpuTime;
         recorder.flow(static_cast<int>(winner->gpu), "critical",

@@ -21,8 +21,10 @@ BottleneckProfile::componentNames()
 std::array<Tick, BottleneckProfile::numComponents>
 BottleneckProfile::components() const
 {
-    return {tCompute, tL2,      tDram,   tWalks,      tEgress,
-            tIngress, tRemote,  tFaults, tShootdowns, tWqStall};
+    return {kernel.tCompute, kernel.tL2,     kernel.tDram,
+            kernel.tWalks,   tEgress,        tIngress,
+            tRemote,         kernel.tFaults, kernel.tShootdowns,
+            kernel.tWqStall};
 }
 
 std::array<double, BottleneckProfile::numComponents>
@@ -56,16 +58,17 @@ BottleneckProfile::limiter() const
 double
 BottleneckProfile::achievedDramBps() const
 {
-    const double seconds = ticksToSeconds(total);
+    const double seconds = ticksToSeconds(kernel.gpuTime);
     return seconds > 0.0 ? static_cast<double>(dramBytes) / seconds : 0.0;
 }
 
 double
 BottleneckProfile::achievedLinkBps() const
 {
-    const double seconds = ticksToSeconds(total);
-    return seconds > 0.0 ? static_cast<double>(egressBytes) / seconds
-                         : 0.0;
+    const double seconds = ticksToSeconds(kernel.gpuTime);
+    return seconds > 0.0
+               ? static_cast<double>(kernel.egressBytes) / seconds
+               : 0.0;
 }
 
 ProfileCollector::ProfileCollector(std::uint64_t pages_per_bucket,
@@ -174,8 +177,8 @@ profileToJson(const ProfileReport& report)
         const auto shares = k.shares();
         w.beginObject();
         w.field("phase", k.phase);
-        w.field("gpu", static_cast<std::uint64_t>(k.gpu));
-        w.field("total_ticks", static_cast<std::uint64_t>(k.total));
+        w.field("gpu", static_cast<std::uint64_t>(k.kernel.gpu));
+        w.field("total_ticks", k.kernel.gpuTime);
         w.field("limiter", k.limiter());
         w.key("ticks").beginObject();
         for (std::size_t i = 0; i < names.size(); ++i)
@@ -187,8 +190,8 @@ profileToJson(const ProfileReport& report)
         w.endObject();
         w.key("bandwidth").beginObject();
         w.field("dram_bytes", k.dramBytes);
-        w.field("egress_bytes", k.egressBytes);
-        w.field("ingress_bytes", k.ingressBytes);
+        w.field("egress_bytes", k.kernel.egressBytes);
+        w.field("ingress_bytes", k.kernel.ingressBytes);
         w.field("achieved_dram_bps", k.achievedDramBps());
         w.field("peak_dram_bps", k.peakDramBps);
         w.field("achieved_link_bps", k.achievedLinkBps());

@@ -7,7 +7,8 @@
  * demands (compute, L2, DRAM, page walks, remote loads, link
  * egress/ingress, serialized stalls) for every kernel — and then
  * discards everything but the max. When profiling is enabled, the
- * runner captures those terms as one BottleneckProfile per kernel, and
+ * runner hands each kernel's KernelTiming record (the one the causal
+ * graph also receives) to one BottleneckProfile, and
  * GPS components feed per-page heat counters and latency histograms
  * through the system's Probes record (obs/probes.hh).
  * Everything is opt-in behind RunConfig::obs: with profiling off no
@@ -25,16 +26,16 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "gpu/kernel_timing.hh"
 #include "obs/histogram.hh"
 
 namespace gps
 {
 
 /**
- * Per-kernel resource attribution. Tick terms are the timing model's
- * service demands; `total` is the kernel's wall time on its GPU (the
- * max over overlappable bounds plus serialized terms, as the runner
- * computes it).
+ * Per-kernel resource attribution: the runner's KernelTiming record
+ * plus the terms only the profile reports. The kernel's wall time on
+ * its GPU is the record's gpuTime.
  */
 struct BottleneckProfile
 {
@@ -42,29 +43,17 @@ struct BottleneckProfile
     static constexpr std::size_t numComponents = 10;
 
     std::string phase;
-    GpuId gpu = 0;
+    KernelTiming kernel;
 
-    /** Overlappable bounds. */
-    Tick tCompute = 0;
-    Tick tL2 = 0;
-    Tick tDram = 0;
-    Tick tWalks = 0;
+    /** Remote round-trip stalls the formula derived from the record. */
+    Tick tRemote = 0;
+
+    /** Link-time bounds as the topology timed this GPU's traffic. */
     Tick tEgress = 0;
     Tick tIngress = 0;
 
-    /** Critical-path extensions and serialized stalls. */
-    Tick tRemote = 0;
-    Tick tFaults = 0;
-    Tick tShootdowns = 0;
-    Tick tWqStall = 0;
-
-    /** The kernel's wall time on its GPU (max + serialized terms). */
-    Tick total = 0;
-
-    /** Demand volumes behind the bandwidth terms. */
+    /** Demand volume behind the DRAM bound. */
     std::uint64_t dramBytes = 0;
-    std::uint64_t egressBytes = 0;
-    std::uint64_t ingressBytes = 0;
 
     /** Peak bandwidths from the configuration, bytes/second. */
     double peakDramBps = 0.0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/gpu_model.hh"
+#include "interconnect/topology.hh"
 
 namespace gps
 {
@@ -20,6 +21,16 @@ class GpuModelTest : public ::testing::Test
           topo("ic", 4, InterconnectKind::Pcie3),
           infinite("inf", 4, InterconnectKind::Infinite)
     {}
+
+    /** The formula's kernel time on @p link, without the launch. */
+    Tick
+    kernelTime(const KernelCounters& c, const Topology& link) const
+    {
+        TimingConstants constants =
+            timingConstants(gpu.config(), link.spec());
+        constants.kernelLaunchOverhead = 0;
+        return gpu.kernelTiming(c).time(constants).kernel;
+    }
 
     GpuModel gpu;
     Topology topo;
@@ -49,9 +60,9 @@ TEST_F(GpuModelTest, ComputeBoundKernelScalesWithInstructions)
 {
     KernelCounters c;
     c.computeInstrs = 1'000'000'000;
-    const Tick t1 = gpu.kernelTime(c, topo);
+    const Tick t1 = kernelTime(c, topo);
     c.computeInstrs = 2'000'000'000;
-    const Tick t2 = gpu.kernelTime(c, topo);
+    const Tick t2 = kernelTime(c, topo);
     EXPECT_NEAR(static_cast<double>(t2) / static_cast<double>(t1), 2.0,
                 0.01);
 }
@@ -60,7 +71,7 @@ TEST_F(GpuModelTest, DramBoundKernelMatchesBandwidth)
 {
     KernelCounters c;
     c.dramBytes = 900'000'000; // 1 second at 900 GB/s... scaled: 1 ms
-    const Tick t = gpu.kernelTime(c, topo);
+    const Tick t = kernelTime(c, topo);
     EXPECT_NEAR(ticksToMs(t), 1.0, 0.01);
 }
 
@@ -73,9 +84,9 @@ TEST_F(GpuModelTest, OverlappableTermsComposeAsMax)
     KernelCounters both;
     both.computeInstrs = compute_only.computeInstrs;
     both.dramBytes = dram_only.dramBytes;
-    const Tick t_both = gpu.kernelTime(both, topo);
-    const Tick t_max = std::max(gpu.kernelTime(compute_only, topo),
-                                gpu.kernelTime(dram_only, topo));
+    const Tick t_both = kernelTime(both, topo);
+    const Tick t_max = std::max(kernelTime(compute_only, topo),
+                                kernelTime(dram_only, topo));
     EXPECT_EQ(t_both, t_max);
 }
 
@@ -83,9 +94,9 @@ TEST_F(GpuModelTest, RemoteLoadsExtendTheKernel)
 {
     KernelCounters c;
     c.dramBytes = 9'000'000;
-    const Tick base = gpu.kernelTime(c, topo);
+    const Tick base = kernelTime(c, topo);
     c.remoteLoads = 10'000;
-    EXPECT_GT(gpu.kernelTime(c, topo), base);
+    EXPECT_GT(kernelTime(c, topo), base);
 }
 
 TEST_F(GpuModelTest, RemoteAtomicsStallHarderThanLoads)
@@ -94,8 +105,8 @@ TEST_F(GpuModelTest, RemoteAtomicsStallHarderThanLoads)
     loads.remoteLoads = 10'000;
     KernelCounters atomics;
     atomics.remoteAtomics = 10'000;
-    EXPECT_GT(gpu.kernelTime(atomics, topo),
-              gpu.kernelTime(loads, topo));
+    EXPECT_GT(kernelTime(atomics, topo),
+              kernelTime(loads, topo));
 }
 
 TEST_F(GpuModelTest, InfiniteBandwidthElidesRemoteStalls)
@@ -103,26 +114,26 @@ TEST_F(GpuModelTest, InfiniteBandwidthElidesRemoteStalls)
     KernelCounters c;
     c.remoteLoads = 10'000;
     c.remoteAtomics = 10'000;
-    EXPECT_EQ(gpu.kernelTime(c, infinite), 0u);
+    EXPECT_EQ(kernelTime(c, infinite), 0u);
 }
 
 TEST_F(GpuModelTest, PageFaultsSerializeInBatches)
 {
     KernelCounters c;
     c.pageFaults = 1;
-    const Tick one = gpu.kernelTime(c, topo);
+    const Tick one = kernelTime(c, topo);
     EXPECT_EQ(one, gpu.faultTiming().faultLatency);
     c.pageFaults = gpu.faultTiming().faultConcurrency;
-    EXPECT_EQ(gpu.kernelTime(c, topo), one);
+    EXPECT_EQ(kernelTime(c, topo), one);
     c.pageFaults = gpu.faultTiming().faultConcurrency + 1;
-    EXPECT_EQ(gpu.kernelTime(c, topo), 2 * one);
+    EXPECT_EQ(kernelTime(c, topo), 2 * one);
 }
 
 TEST_F(GpuModelTest, ShootdownsAddFixedCost)
 {
     KernelCounters c;
     c.tlbShootdowns = 3;
-    EXPECT_EQ(gpu.kernelTime(c, topo),
+    EXPECT_EQ(kernelTime(c, topo),
               3 * gpu.faultTiming().shootdownLatency);
 }
 
@@ -130,7 +141,7 @@ TEST_F(GpuModelTest, TlbMissesAddWalkTime)
 {
     KernelCounters c;
     c.tlbMisses = 100'000;
-    EXPECT_GT(gpu.kernelTime(c, topo), 0u);
+    EXPECT_GT(kernelTime(c, topo), 0u);
 }
 
 TEST(GpuConfig, Table1Defaults)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the bottleneck-attribution profiler: share accounting,
- * hot-page top-N extraction, the kernel-time breakdown refactor, and the
- * end-to-end profile a GPS run produces.
+ * hot-page top-N extraction, the end-to-end profile a GPS run produces,
+ * and the per-kernel timing record it shares with the causal graph.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -22,8 +23,8 @@ namespace
 TEST(BottleneckProfile, SharesSumToOneAndNameTheLimiter)
 {
     BottleneckProfile p;
-    p.tCompute = 100;
-    p.tDram = 300;
+    p.kernel.tCompute = 100;
+    p.kernel.tDram = 300;
     p.tEgress = 50;
     const auto shares = p.shares();
     double sum = 0.0;
@@ -41,9 +42,9 @@ TEST(BottleneckProfile, SharesSumToOneAndNameTheLimiter)
 TEST(BottleneckProfile, AchievedBandwidthUsesWallTime)
 {
     BottleneckProfile p;
-    p.total = ticksPerSecond; // one simulated second
+    p.kernel.gpuTime = ticksPerSecond; // one simulated second
     p.dramBytes = 5'000'000'000ull;
-    p.egressBytes = 1'000'000'000ull;
+    p.kernel.egressBytes = 1'000'000'000ull;
     EXPECT_DOUBLE_EQ(p.achievedDramBps(), 5e9);
     EXPECT_DOUBLE_EQ(p.achievedLinkBps(), 1e9);
 
@@ -120,8 +121,8 @@ TEST(ProfileEndToEnd, GpsRunProducesAFullProfile)
     ASSERT_FALSE(prof.kernels.empty());
     for (const BottleneckProfile& k : prof.kernels) {
         EXPECT_FALSE(k.phase.empty());
-        EXPECT_LT(k.gpu, 2u);
-        EXPECT_GT(k.total, 0u);
+        EXPECT_LT(k.kernel.gpu, 2u);
+        EXPECT_GT(k.kernel.gpuTime, 0u);
         double sum = 0.0;
         for (const double s : k.shares())
             sum += s;
@@ -193,15 +194,63 @@ TEST(ProfileEndToEnd, JsonParsesAndCarriesTheSchema)
     }
 }
 
-TEST(KernelTimeBreakdown, TotalMatchesKernelTime)
+/**
+ * The profile and the causal graph receive the same per-kernel record:
+ * the profile's wall time is the causal gpuTime, the shared formula
+ * re-evaluated on the record gives that time whenever no link term
+ * binds, and the slowest GPU of each phase spans the phase between its
+ * prefetch and its barrier.
+ */
+void
+expectOneRecordPerKernel(const std::string& app, RunConfig config)
 {
-    // The breakdown refactor must be exact: kernelTime() is defined as
-    // the breakdown's total, and both must be reproducible.
-    RunConfig config = profiledConfig();
-    config.obs = ObsConfig{};
-    const RunResult a = runWorkload("Jacobi", config);
-    const RunResult b = runWorkload("Jacobi", config);
-    EXPECT_EQ(a.totalTime, b.totalTime);
+    config.obs.profile = true;
+    config.obs.causal = true;
+    const RunResult result = runWorkload(app, config);
+    ASSERT_NE(result.obs, nullptr);
+    const ProfileReport& prof = result.obs->profile;
+    const CausalReport& causal = result.obs->causal;
+    ASSERT_EQ(causal.droppedPhases, 0u);
+
+    std::size_t next = 0;
+    std::size_t kernel_bound = 0;
+    for (const CausalPhase& ph : causal.phases) {
+        Tick slowest = 0;
+        for (const KernelTiming& k : ph.kernels) {
+            ASSERT_LT(next, prof.kernels.size());
+            const BottleneckProfile& p = prof.kernels[next++];
+            EXPECT_EQ(p.phase, ph.name);
+            EXPECT_EQ(p.kernel.gpu, k.gpu);
+            EXPECT_EQ(p.kernel.gpuTime, k.gpuTime) << ph.name;
+
+            const KernelTime t = k.time(causal.model);
+            EXPECT_EQ(p.tRemote, t.remote) << ph.name;
+            if (t.kernel >= p.tEgress && t.kernel >= p.tIngress) {
+                EXPECT_EQ(t.kernel, k.gpuTime) << ph.name;
+                ++kernel_bound;
+            }
+            slowest = std::max(slowest, k.gpuTime);
+        }
+        EXPECT_EQ(slowest, ph.phaseTime - ph.prefetchTime - ph.barrierTime)
+            << ph.name;
+    }
+    EXPECT_EQ(next, prof.kernels.size());
+    EXPECT_GT(kernel_bound, 0u);
+}
+
+TEST(KernelTiming, ProfileAndCausalShareOneRecordFlat)
+{
+    expectOneRecordPerKernel("Jacobi", profiledConfig());
+}
+
+TEST(KernelTiming, ProfileAndCausalShareOneRecordOnTwoNodes)
+{
+    RunConfig config;
+    config.system.numGpus = 16;
+    config.system.numNodes = 2;
+    config.scale = 0.25;
+    config.paradigm = ParadigmKind::Memcpy;
+    expectOneRecordPerKernel("ALS", config);
 }
 
 } // namespace

@@ -532,8 +532,8 @@ printProfileSummary(const ObsReport& report)
                 remote = shares[i];
         }
         std::printf("    %-14s %4u %10.3f  %-10s %7.1f%% %7.1f%% %7.1f%%\n",
-                    k.phase.c_str(), static_cast<unsigned>(k.gpu),
-                    ticksToMs(k.total), k.limiter(), dram * 100.0,
+                    k.phase.c_str(), static_cast<unsigned>(k.kernel.gpu),
+                    ticksToMs(k.kernel.gpuTime), k.limiter(), dram * 100.0,
                     link * 100.0, remote * 100.0);
     }
     if (!prof.hotPages.empty()) {
