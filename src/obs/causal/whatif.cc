@@ -151,20 +151,18 @@ validateWhatIf(const std::string& workload_name, const RunConfig& base,
     WhatIfValidation out;
     out.traced = base_result.obs->causal;
     out.prediction = predictWhatIf(base_result.obs->causal, spec);
-    if (out.prediction.baseTime != base_result.totalTime) {
-        if (out.traced.droppedPhases > 0)
-            gps_warn("causal replay covers ", out.prediction.baseTime,
-                     " of ", base_result.totalTime, " recorded ticks (",
-                     out.traced.droppedPhases,
-                     " phases dropped past the cap); predictions are "
-                     "partial");
-        else
-            gps_warn("causal replay covers ", out.prediction.baseTime,
-                     " of ", base_result.totalTime,
-                     " recorded ticks: it times links per GPU and does "
-                     "not see node-uplink serialization; predictions "
-                     "for multi-node runs are approximate");
-    }
+    // Dropped phases replay at their recorded times (as residual), so
+    // they cover the window but do not scale.
+    if (out.traced.droppedPhases > 0)
+        gps_warn(out.traced.droppedPhases,
+                 " causal phases were dropped past the cap and replay "
+                 "unscaled; predictions are partial");
+    if (out.prediction.baseTime != base_result.totalTime)
+        gps_warn("causal replay covers ", out.prediction.baseTime, " of ",
+                 base_result.totalTime,
+                 " recorded ticks: it times links per GPU and does not "
+                 "see node-uplink serialization; predictions for "
+                 "multi-node runs are approximate");
 
     RunConfig scaled = base;
     scaled.obs = ObsConfig{};

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "api/result_export.hh"
 #include "api/runner.hh"
 #include "apps/app_common.hh"
+#include "common/logging.hh"
 #include "obs/causal/whatif.hh"
 #include "obs/observability.hh"
 
@@ -359,6 +362,64 @@ TEST(WhatIf, SlowerLinksPredictSlowdownWithinTolerance)
     EXPECT_LE(v.errorPct, 10.0)
         << "predicted " << v.prediction.predictedTime << " actual "
         << v.actualTime;
+}
+
+/** Warn lines captured through the detail::setLogSink hook. */
+std::mutex warnedMutex;
+std::vector<std::string> warned;
+
+void
+captureWarning(const std::string& line)
+{
+    const std::lock_guard<std::mutex> lock(warnedMutex);
+    warned.push_back(line);
+}
+
+/** validateWhatIf with its warn lines captured into @p lines. */
+WhatIfValidation
+validateCapturingWarnings(const std::string& app, const RunConfig& config,
+                          const WhatIfSpec& spec,
+                          std::vector<std::string>& lines)
+{
+    warned.clear();
+    detail::setLogSink(&captureWarning);
+    const WhatIfValidation v = validateWhatIf(app, config, spec);
+    detail::setLogSink(nullptr);
+    lines = warned;
+    return v;
+}
+
+TEST(WhatIf, PartialReplayWarningNamesDroppedPhases)
+{
+    RunConfig config = causalConfig();
+    config.obs.maxCausalPhases = 2;
+    std::vector<std::string> lines;
+    validateCapturingWarnings("Jacobi", config, WhatIfSpec{}, lines);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("phases were dropped past the cap"),
+              std::string::npos)
+        << lines[0];
+}
+
+TEST(WhatIf, MultiNodeReplayWarningNamesTheNodeTier)
+{
+    // No phase is dropped here: the replay times every link at the
+    // intra-node rate and misses the uplink serialization.
+    RunConfig config;
+    config.system.numGpus = 16;
+    config.system.numNodes = 2;
+    config.scale = 0.25;
+    config.paradigm = ParadigmKind::Memcpy;
+    WhatIfSpec spec;
+    spec.linkBw = 2.0;
+    std::vector<std::string> lines;
+    const WhatIfValidation v =
+        validateCapturingWarnings("ALS", config, spec, lines);
+    EXPECT_EQ(v.traced.droppedPhases, 0u);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0].find("dropped"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find("node-uplink"), std::string::npos)
+        << lines[0];
 }
 
 } // namespace
