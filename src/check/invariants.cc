@@ -31,6 +31,7 @@ InvariantChecker::runAll(const std::string& phase, CheckReport& report)
 {
     runCheap(phase, report);
     checkSubscriptions(phase, report);
+    checkMappings(phase, report);
 }
 
 void
@@ -251,6 +252,38 @@ InvariantChecker::checkFrames(const std::string& phase,
                                            os.str(), phase, gpu));
         }
     }
+}
+
+void
+InvariantChecker::checkMappings(const std::string& phase,
+                                CheckReport& report)
+{
+    Driver& drv = system_->driver();
+    drv.pageStates().forEach([&](PageNum vpn, const PageState& st) {
+        maskForEach(st.mapped | st.backed, [&](GpuId gpu) {
+            // A GPU beyond the system has no page table, so no PTE.
+            const Pte* pte = gpu < drv.numGpus()
+                                 ? drv.pageTable(gpu).lookup(vpn)
+                                 : nullptr;
+            const bool backed = maskHas(st.backed, gpu);
+            if (pte != nullptr && (!backed || pte->location == gpu))
+                return;
+            std::ostringstream os;
+            os << "backed=" << backed
+               << " mapped=" << maskHas(st.mapped, gpu)
+               << " pte_location=";
+            if (pte == nullptr)
+                os << "none";
+            else
+                os << pte->location;
+            CheckFinding f = makeFinding(
+                backed ? "mapping.backed-local" : "mapping.mapped-pte",
+                os.str(), phase, gpu);
+            f.vpn = vpn;
+            f.hasVpn = true;
+            addFinding(report, std::move(f));
+        });
+    });
 }
 
 } // namespace gps

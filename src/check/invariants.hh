@@ -22,6 +22,10 @@
  *  - Frame accounting: framesFree() agrees with the allocator's
  *    free-list/bump view, and initial frames equal current capacity
  *    plus retirements.
+ *  - Mapping consistency: every `backed` bit of a PageState has a PTE
+ *    on that GPU pointing at that GPU's own memory, and every `mapped`
+ *    bit has a PTE. These findings are not added to invariantChecks,
+ *    whose total the result JSON reports for every checked run.
  */
 
 #ifndef GPS_CHECK_INVARIANTS_HH
@@ -62,6 +66,7 @@ class InvariantChecker
     void checkSubscriptions(const std::string& phase,
                             CheckReport& report);
     void checkFrames(const std::string& phase, CheckReport& report);
+    void checkMappings(const std::string& phase, CheckReport& report);
 
   private:
     MultiGpuSystem* system_;

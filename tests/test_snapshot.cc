@@ -506,6 +506,18 @@ TEST_F(SnapshotMutation, LengthBeyondTheBodyIsRejected)
         snapshot::SnapshotError);
 }
 
+TEST_F(SnapshotMutation, PageTableVpnFlipIsRejected)
+{
+    // The first mapping of GPU 0 moves to another VPN, leaving its
+    // page's backed or mapped bit without a PTE. Restore must reject
+    // it: the resumed run would abort on it in Driver::unbackPage.
+    const std::size_t entries = afterTag("pagetable");
+    ASSERT_GT(u64At(entries), 0u);
+    std::string body = body_;
+    body[entries + 8 + 7] ^= 0x40;
+    EXPECT_FALSE(restores(body, "pagetable VPN flip"));
+}
+
 TEST_F(SnapshotMutation, SeededMutationsAreRejectedOrVerified)
 {
     struct Case
