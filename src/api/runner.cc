@@ -1,7 +1,6 @@
 #include "api/runner.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "check/check.hh"
@@ -557,9 +556,16 @@ Runner::executePhase(MultiGpuSystem& system, Paradigm& paradigm,
         slowest = std::max(slowest, k.gpuTime);
         if (prof != nullptr)
             prof->addKernel(
-                {phase.name, k, t.remote, egress_time, ingress_time,
-                 counters[gpu].dramBytes, system.config().gpu.dramBandwidth,
-                 constants.linkInfinite ? 0.0 : constants.linkBandwidth});
+                {.phase = phase.name,
+                 .kernel = k,
+                 .tRemote = t.remote,
+                 .tEgress = egress_time,
+                 .tIngress = ingress_time,
+                 .dramBytes = counters[gpu].dramBytes,
+                 .peakDramBps = system.config().gpu.dramBandwidth,
+                 .peakLinkBps = constants.linkInfinite
+                                    ? 0.0
+                                    : constants.linkBandwidth});
         if (causal != nullptr)
             records.push_back(k);
     }

@@ -5,7 +5,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/units.hh"
 
 namespace gps
 {

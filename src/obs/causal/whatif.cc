@@ -6,7 +6,6 @@
 #include <map>
 
 #include "common/logging.hh"
-#include "common/units.hh"
 
 namespace gps
 {
